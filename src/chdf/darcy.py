@@ -14,7 +14,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import grid as gridops
 from .errors import NonConvergence
-from .grid import Grid2D, ScalarField, VectorField
+from .grid import ScalarField, VectorField
 from .model import ModelParams
 
 _MAX_ROOT_ITER = 200
@@ -72,7 +72,6 @@ def velocity_solve(
     params: ModelParams,
     tol: float = 1e-10,
     max_outer: int = 500,
-    omega_uzawa: float = 1.0,
     phi: ScalarField | None = None,
     psi: ScalarField | None = None,
     pi0: ScalarField | None = None,
@@ -139,16 +138,14 @@ def velocity_solve(
             return -gridops.divergence(flux).data.ravel()
 
         def psolve(v):
-            vf = ScalarField(grid, v.reshape(shape) - v.reshape(shape).mean())
-            out = gridops.inverse_neumann_laplacian(vf)
-            return gamma_bar * out.data.ravel()
+            return gamma_bar * gridops.inv_neg_lap(grid, v.reshape(shape)).ravel()
 
         A = LinearOperator((n, n), matvec=matvec)
         M = LinearOperator((n, n), matvec=psolve)
         rhs = -div.data.ravel()
         sol, _ = lgmres(A, rhs, M=M, rtol=1e-3, atol=0.0, maxiter=50)
         dpi = sol.reshape(shape)
-        pi = pi + omega_uzawa * (dpi - dpi.mean())
+        pi = pi + (dpi - dpi.mean())
     else:
         raise NonConvergence(
             f"velocity solve: divergence residual {div_res:.3e} after {max_outer} iterations"

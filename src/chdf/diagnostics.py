@@ -15,14 +15,11 @@ import numpy as np
 
 from . import grid as gridops
 from . import model as mdl
-from .darcy import dissipation_integrands
-from .errors import NewtonDivergence, ValidationError
+from .errors import ValidationError
 from .grid import ScalarField
 from .model import ModelParams
-from .step import (ChemicalPotentials, SolverTolerances, State, StepReport,
-                   _apply_inv_lap, _apply_lap, _damped_update, _krylov_solve,
-                   _p0)
-from .grid import cc_fwd, cc_inv
+from .step import (ChemicalPotentials, State, StepReport, _krylov_solve, _p0,
+                   bounded_newton)
 
 
 @dataclass(frozen=True)
@@ -65,32 +62,23 @@ class EquilibriumSolution:
     mu_psi_inf: float
 
 
-def _grad_norm_sq(f: ScalarField) -> float:
-    g = gridops.gradient(f)
-    return float(np.sum(g.x ** 2 + g.y ** 2)) * f.grid.cell_area
-
-
 def build_ledger_row(state: State, potentials: ChemicalPotentials,
                      report: StepReport, params: ModelParams) -> LedgerRow:
     """Assemble the ledger row for a freshly completed step."""
     grid = state.phi.grid
-    d2, dr = dissipation_integrands(state.u, params, state.phi, state.psi)
     mag2 = state.u.x ** 2 + state.u.y ** 2
     u_l2 = math.sqrt(float(np.sum(mag2)) * grid.cell_area)
     u_lr = (float(np.sum(mag2 ** (params.r / 2.0))) * grid.cell_area) ** (1.0 / params.r)
-    reaction = (gridops.mean(state.phi) - params.c) * float(
-        np.sum(params.sigma1_of(state.phi.data) * potentials.mu_phi.data)
-    ) * grid.cell_area
     row = LedgerRow(
         time=state.time,
         energy_total=report.energy_after,
         energy_free=mdl.free_energy(state.phi, state.psi, params),
         kinetic=mdl.kinetic_energy(state.u, params),
-        dissipation_d2=d2,
-        dissipation_dr=dr,
-        grad_mu_phi_sq=_grad_norm_sq(potentials.mu_phi),
-        grad_mu_psi_sq=_grad_norm_sq(potentials.mu_psi),
-        reaction_term=reaction,
+        dissipation_d2=report.dissipation_d2,
+        dissipation_dr=report.dissipation_dr,
+        grad_mu_phi_sq=report.grad_mu_phi_sq,
+        grad_mu_psi_sq=report.grad_mu_psi_sq,
+        reaction_term=report.reaction_term,
         slack=report.inequality_slack,
         mean_phi=report.mass_achieved_phi,
         mean_psi=report.mass_achieved_psi,
@@ -109,8 +97,8 @@ def equilibrium_residual(state: State, potentials: ChemicalPotentials,
                          params: ModelParams) -> float:
     """Distance from stationarity: largest of the flux/velocity/reaction norms."""
     grid = state.phi.grid
-    gm_phi = math.sqrt(_grad_norm_sq(potentials.mu_phi))
-    gm_psi = math.sqrt(_grad_norm_sq(potentials.mu_psi))
+    gm_phi = math.sqrt(gridops.grad_norm_sq(potentials.mu_phi))
+    gm_psi = math.sqrt(gridops.grad_norm_sq(potentials.mu_psi))
     u_l2 = math.sqrt(float(np.sum(state.u.x ** 2 + state.u.y ** 2)) * grid.cell_area)
     react = abs(float(np.mean(params.sigma1_of(state.phi.data)))
                 * (gridops.mean(state.phi) - params.c))
@@ -163,25 +151,18 @@ def stationary_solve(
     phi_seed, psi_seed = seed
     grid = phi_seed.grid
     sig2 = params.sigma2
-    beta = params.beta
+    symbol = np.stack([grid.lam + sig2 * grid.inv_lam, params.beta * grid.lam])
 
-    def residuals(phi, psi):
+    def residual(x):
+        phi, psi = x
         fp = mdl.f_phi(phi, params.theta_phi)[1]
         fq = mdl.f_psi(psi, params.theta_psi)[1]
         _, gphi, gpsi = mdl.coupling_g(phi, psi, params.theta_c, params.w)
-        rphi = _apply_lap(grid, phi) + _p0(fp + gphi)
-        if sig2 > 0:
-            rphi += sig2 * _apply_inv_lap(grid, _p0(phi))
-        rpsi = beta * _apply_lap(grid, psi) + _p0(fq + gpsi)
-        return rphi, rpsi
+        return (gridops.cc_inv(gridops.cc_fwd(x) * symbol)
+                + _p0(np.stack([fp + gphi, fq + gpsi])))
 
-    phi = phi_seed.data + (phi_mass - phi_seed.data.mean())
-    psi = psi_seed.data + (psi_mass - psi_seed.data.mean())
-    shape = (2, grid.ny, grid.nx)
-    for _ in range(max_newton):
-        rphi, rpsi = residuals(phi, psi)
-        if max(np.max(np.abs(rphi)), np.max(np.abs(rpsi))) <= tol:
-            break
+    def jacobian_coef(x):
+        phi, psi = x
         fpp = mdl.f_phi(phi, params.theta_phi)[2]
         fqq = mdl.f_psi(psi, params.theta_psi)[2]
         # Second derivatives of G on the box (clamp inactive for bounded
@@ -190,40 +171,17 @@ def stationary_solve(
         q, dq = mdl._clamp(psi, 0.0, 1.0)
         g_pp = (-params.theta_c + 2.0 * params.w * q) * dp * dp
         g_pq = 2.0 * params.w * p * dp * dq
-        cphi = fpp + g_pp
-        cpsi = fqq
-        cbar_phi = max(float(cphi.mean()), 1e-12)
-        cbar_psi = max(float(cpsi.mean()), 1e-12)
+        return np.array([[fpp + g_pp, g_pq], [g_pq, fqq]])
 
-        def matvec(v):
-            vp = _p0(v[0])
-            vq = _p0(v[1])
-            outp = _apply_lap(grid, vp) + _p0(cphi * vp + g_pq * vq)
-            if sig2 > 0:
-                outp += sig2 * _apply_inv_lap(grid, vp)
-            outq = beta * _apply_lap(grid, vq) + _p0(cpsi * vq + g_pq * vp)
-            return np.stack([outp, outq])
-
-        lam = grid.lam.copy()
-        lam[0, 0] = 1.0
-        denom_p = lam + sig2 / lam + cbar_phi
-        denom_q = beta * lam + cbar_psi
-
-        def precond(v):
-            cp = cc_fwd(v[0]) / denom_p
-            cq = cc_fwd(v[1]) / denom_q
-            cp[0, 0] = 0.0
-            cq[0, 0] = 0.0
-            return np.stack([cc_inv(cp), cc_inv(cq)])
-
-        rhs = -np.stack([rphi, rpsi])
-        delta = _krylov_solve(matvec, precond, rhs, shape, 0.01 * tol)
-        phi, _ = _damped_update(phi, _p0(delta[0]), -1.0, 1.0, 1e-4)
-        psi, _ = _damped_update(psi, _p0(delta[1]), 0.0, 1.0, 1e-4)
-        phi += phi_mass - phi.mean()
-        psi += psi_mass - psi.mean()
-    else:
-        raise NewtonDivergence("stationary solve did not converge")
+    x0 = np.stack([phi_seed.data + (phi_mass - phi_seed.data.mean()),
+                   psi_seed.data + (psi_mass - psi_seed.data.mean())])
+    # The linear solve goes through this module's _krylov_solve so that one
+    # call here is one Newton update for anything that wraps that name.
+    x, _ = bounded_newton(x0, residual, jacobian_coef, symbol,
+                          [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass],
+                          tol, max_newton, 1e-4, krylov=_krylov_solve,
+                          label="stationary solve")
+    phi, psi = x
 
     fp = mdl.f_phi(phi, params.theta_phi)[1]
     fq = mdl.f_psi(psi, params.theta_psi)[1]

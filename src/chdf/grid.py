@@ -13,7 +13,7 @@ Cell centers sit at ((i + 1/2) hx, (j + 1/2) hy).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, dst, idct, idst
@@ -27,6 +27,8 @@ _workers: int | None = None
 def set_num_threads(n: int) -> None:
     """Cap internal transform parallelism (0 = automatic)."""
     global _workers
+    if n < 0:
+        raise ValueError(f"thread count must be >= 0, got {n}")
     _workers = os.cpu_count() if n == 0 else n
 
 
@@ -89,6 +91,11 @@ class Grid2D:
         """Eigenvalues of -Laplacian on cos modes: (k pi/Lx)^2 + (l pi/Ly)^2."""
         return _cached_wavenumbers(self)[2]
 
+    @property
+    def inv_lam(self) -> np.ndarray:
+        """1/lam on the nonconstant modes, 0 on the constant mode."""
+        return _cached_wavenumbers(self)[3]
+
 
 _wavenumber_cache: dict[tuple, tuple] = {}
 
@@ -100,7 +107,9 @@ def _cached_wavenumbers(grid: Grid2D):
         kx = np.arange(grid.nx) * np.pi / grid.Lx
         ky = np.arange(grid.ny) * np.pi / grid.Ly
         lam = ky[:, None] ** 2 + kx[None, :] ** 2
-        hit = (kx, ky, lam)
+        inv_lam = np.zeros_like(lam)
+        inv_lam.flat[1:] = 1.0 / lam.flat[1:]
+        hit = (kx, ky, lam, inv_lam)
         _wavenumber_cache[key] = hit
     return hit
 
@@ -155,31 +164,12 @@ class VectorField:
     def copy(self) -> "VectorField":
         return VectorField(self.grid, self.x.copy(), self.y.copy())
 
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.x, self.y)
-
-
-@dataclass
-class SpectralCoeffs:
-    """Coefficients in one of the three tensor bases.
-
-    basis "cc": f = sum c[l,k] cos(k pi x/Lx) cos(l pi y/Ly), index = mode.
-    basis "sc": x-sine modes 1..nx at index k-1, y-cosine modes at index l.
-    basis "cs": x-cosine modes at index k, y-sine modes 1..ny at index l-1.
-    """
-
-    basis: str
-    data: np.ndarray
-    grid: Grid2D = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.basis not in ("cc", "sc", "cs"):
-            raise ValueError(f"unknown basis {self.basis!r}")
-
 
 # ---------------------------------------------------------------------------
 # 1-D transform helpers.  Scalings are chosen so the coefficient of mode k is
 # the amplitude of cos(k pi x/L) (resp. sin((m+1) pi x/L)) in the series.
+# Coefficient layout: "cc" holds cos(k pi x/Lx) cos(l pi y/Ly) at [l, k];
+# "sc" holds x-sine mode k at index k-1, "cs" y-sine mode l at index l-1.
 # ---------------------------------------------------------------------------
 
 def _cos_fwd(f: np.ndarray, axis: int) -> np.ndarray:
@@ -219,42 +209,64 @@ def _sin_inv(s: np.ndarray, axis: int) -> np.ndarray:
     return idst(x, type=2, axis=axis, workers=_w())
 
 
-# 2-D transforms on raw arrays (axis 1 = x, axis 0 = y).
+# 2-D transforms on raw arrays (axis -1 = x, axis -2 = y); leading axes,
+# as in a stack of fields, are transformed independently.
 
 def cc_fwd(f: np.ndarray) -> np.ndarray:
-    return _cos_fwd(_cos_fwd(f, 1), 0)
+    return _cos_fwd(_cos_fwd(f, -1), -2)
 
 
 def cc_inv(c: np.ndarray) -> np.ndarray:
-    return _cos_inv(_cos_inv(c, 1), 0)
+    return _cos_inv(_cos_inv(c, -1), -2)
 
 
 def sc_fwd(f: np.ndarray) -> np.ndarray:
-    return _cos_fwd(_sin_fwd(f, 1), 0)
+    return _cos_fwd(_sin_fwd(f, -1), -2)
 
 
 def sc_inv(c: np.ndarray) -> np.ndarray:
-    return _cos_inv(_sin_inv(c, 1), 0)
+    return _cos_inv(_sin_inv(c, -1), -2)
 
 
 def cs_fwd(f: np.ndarray) -> np.ndarray:
-    return _sin_fwd(_cos_fwd(f, 1), 0)
+    return _sin_fwd(_cos_fwd(f, -1), -2)
 
 
 def cs_inv(c: np.ndarray) -> np.ndarray:
-    return _sin_inv(_cos_inv(c, 1), 0)
+    return _sin_inv(_cos_inv(c, -1), -2)
 
 
-_FWD = {"cc": cc_fwd, "sc": sc_fwd, "cs": cs_fwd}
-_INV = {"cc": cc_inv, "sc": sc_inv, "cs": cs_inv}
+# ---------------------------------------------------------------------------
+# Operator symbols on raw (..., ny, nx) arrays
+# ---------------------------------------------------------------------------
+
+def neg_lap(grid: Grid2D, f: np.ndarray) -> np.ndarray:
+    """-Laplacian with Neumann conditions (exact on cosine modes)."""
+    return cc_inv(cc_fwd(f) * grid.lam)
 
 
-def transform(f: ScalarField, basis: str = "cc") -> SpectralCoeffs:
-    return SpectralCoeffs(basis, _FWD[basis](f.data), f.grid)
+def inv_neg_lap(grid: Grid2D, f: np.ndarray) -> np.ndarray:
+    """Zero-mean g with -Lap g = f - mean(f); the mean of f is ignored."""
+    return cc_inv(cc_fwd(f) * grid.inv_lam)
 
 
-def inverse_transform(c: SpectralCoeffs) -> ScalarField:
-    return ScalarField(c.grid, _INV[c.basis](c.data))
+def _grad_coeffs(grid: Grid2D, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # d/dx: cos mode k -> sin mode k with factor -k pi/Lx (k = 1..nx-1),
+    # stored in the "sc" layout; d/dy likewise into "cs".
+    gx = np.zeros_like(c)
+    gx[..., : grid.nx - 1] = -c[..., 1:] * grid.kx[1:]
+    gy = np.zeros_like(c)
+    gy[..., : grid.ny - 1, :] = -c[..., 1:, :] * grid.ky[1:, None]
+    return gx, gy
+
+
+def _div_coeffs(grid: Grid2D, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # d/dx: sin mode k -> cos mode k with factor +k pi/Lx.  The top sine mode
+    # (k = nx) maps to a cosine that samples to zero at every cell center.
+    d = np.zeros_like(a)
+    d[..., 1:] += a[..., : grid.nx - 1] * grid.kx[1:]
+    d[..., 1:, :] += b[..., : grid.ny - 1, :] * grid.ky[1:, None]
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +293,7 @@ def l2_norm_sq(f: ScalarField) -> float:
 
 
 def _grad_arrays(grid: Grid2D, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = cc_fwd(f)
-    nx, ny = grid.nx, grid.ny
-    kx, ky, _ = _cached_wavenumbers(grid)
-    # d/dx: cos mode k -> sin mode k with factor -k pi/Lx (k = 1..nx-1).
-    gx = np.zeros_like(c)
-    gx[:, : nx - 1] = -c[:, 1:] * kx[1:][None, :]
-    gy = np.zeros_like(c)
-    gy[: ny - 1, :] = -c[1:, :] * ky[1:][:, None]
+    gx, gy = _grad_coeffs(grid, cc_fwd(f))
     return sc_inv(gx), cs_inv(gy)
 
 
@@ -298,17 +303,14 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(f.grid, gx, gy)
 
 
+def grad_norm_sq(f: ScalarField) -> float:
+    """Squared L2 norm of the spectral gradient of f."""
+    g = gradient(f)
+    return float(np.sum(g.x ** 2 + g.y ** 2)) * f.grid.cell_area
+
+
 def _div_arrays(grid: Grid2D, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    nx, ny = grid.nx, grid.ny
-    kx, ky, _ = _cached_wavenumbers(grid)
-    a = sc_fwd(vx)   # x-sine modes 1..nx at index k-1
-    b = cs_fwd(vy)
-    d = np.zeros_like(a)
-    # d/dx: sin mode k -> cos mode k with factor +k pi/Lx.  The top sine mode
-    # (k = nx) maps to a cosine that samples to zero at every cell center.
-    d[:, 1:] += a[:, : nx - 1] * kx[1:][None, :]
-    d[1:, :] += b[: ny - 1, :] * ky[1:][:, None]
-    return cc_inv(d)
+    return cc_inv(_div_coeffs(grid, sc_fwd(vx), cs_fwd(vy)))
 
 
 def divergence(v: VectorField) -> ScalarField:
@@ -318,8 +320,7 @@ def divergence(v: VectorField) -> ScalarField:
 
 def neumann_laplacian(f: ScalarField) -> ScalarField:
     """Apply -Laplacian with Neumann conditions (exact on cosine modes)."""
-    c = cc_fwd(f.data)
-    return ScalarField(f.grid, cc_inv(c * f.grid.lam))
+    return ScalarField(f.grid, neg_lap(f.grid, f.data))
 
 
 def _check_zero_mean(f: ScalarField) -> None:
@@ -328,19 +329,10 @@ def _check_zero_mean(f: ScalarField) -> None:
         raise MeanNotZero(f"field mean {m:.3e} is not zero; subtract it first")
 
 
-def _inv_lap_coeffs(grid: Grid2D, c: np.ndarray) -> np.ndarray:
-    lam = grid.lam.copy()
-    lam[0, 0] = 1.0
-    out = c / lam
-    out[0, 0] = 0.0
-    return out
-
-
 def inverse_neumann_laplacian(f: ScalarField) -> ScalarField:
     """Solve -Lap g = f - mean(f) with Neumann data, mean(g) = 0."""
     _check_zero_mean(f)
-    c = cc_fwd(f.data)
-    return ScalarField(f.grid, cc_inv(_inv_lap_coeffs(f.grid, c)))
+    return ScalarField(f.grid, inv_neg_lap(f.grid, f.data))
 
 
 def _mode_weights(grid: Grid2D) -> np.ndarray:
@@ -357,12 +349,7 @@ def hminus1_norm_sq(f: ScalarField) -> float:
     """Squared H^-1 seminorm: <f, invLap f> = ||grad(invLap f)||^2."""
     _check_zero_mean(f)
     c = cc_fwd(f.data)
-    lam = f.grid.lam.copy()
-    lam[0, 0] = 1.0
-    w = _mode_weights(f.grid)
-    acc = c * c * w / lam
-    acc[0, 0] = 0.0
-    return float(np.sum(acc))
+    return float(np.sum(c * c * _mode_weights(f.grid) * f.grid.inv_lam))
 
 
 def helmholtz_project(v: VectorField) -> tuple[VectorField, ScalarField]:
@@ -371,19 +358,11 @@ def helmholtz_project(v: VectorField) -> tuple[VectorField, ScalarField]:
     p solves the Neumann problem (grad p, grad q) = (v, grad q) for all q.
     """
     grid = v.grid
-    nx, ny = grid.nx, grid.ny
-    kx, ky, _ = _cached_wavenumbers(grid)
     a = sc_fwd(v.x)
     b = cs_fwd(v.y)
-    d = np.zeros((ny, nx))
-    d[:, 1:] += a[:, : nx - 1] * kx[1:][None, :]
-    d[1:, :] += b[: ny - 1, :] * ky[1:][:, None]
-    p = -_inv_lap_coeffs(grid, d)
-    ua = a.copy()
-    ub = b.copy()
-    ua[:, : nx - 1] += p[:, 1:] * kx[1:][None, :]
-    ub[: ny - 1, :] += p[1:, :] * ky[1:][:, None]
-    u = VectorField(grid, sc_inv(ua), cs_inv(ub))
+    p = -_div_coeffs(grid, a, b) * grid.inv_lam
+    gx, gy = _grad_coeffs(grid, p)
+    u = VectorField(grid, sc_inv(a - gx), cs_inv(b - gy))
     return u, ScalarField(grid, cc_inv(p))
 
 

@@ -74,12 +74,6 @@ class ModelParams:
     def eta(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(phi, dtype=float), self.eta_const)
 
-    def m_phi(self, phi: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(phi, dtype=float), self.m_phi_const)
-
-    def m_psi(self, psi: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(psi, dtype=float), self.m_psi_const)
-
     def sigma1_of(self, phi: np.ndarray) -> np.ndarray:
         """Pointwise reaction rate (constant here; field-valued interface)."""
         return np.full_like(np.asarray(phi, dtype=float), self.sigma1)

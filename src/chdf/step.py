@@ -4,13 +4,14 @@ Structure of the discrete equations: the surfactant pair (psi, mu_psi_hat)
 closes on its own because its coupling secant freezes phi at the old step;
 the phase pair (phi, mu_phi_hat) then sees the new psi.  Each pair reduces
 to a single nonlinear equation for the zero-mean part of the order
-parameter, solved by damped Newton with a transform-preconditioned Krylov
-linear solve.  A Picard loop closes the velocity coupling.
+parameter, solved by `bounded_newton`: damped Newton with a
+transform-preconditioned Krylov linear solve, shared with the stationary
+solve in `diagnostics`.  A Picard loop closes the velocity coupling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
@@ -19,7 +20,7 @@ from . import grid as gridops
 from . import model as mdl
 from .darcy import dissipation_integrands, velocity_solve
 from .errors import BoundViolation, NewtonDivergence, PicardStall, StepTooLarge
-from .grid import Grid2D, ScalarField, VectorField, cc_fwd, cc_inv
+from .grid import ScalarField, VectorField, cc_fwd, cc_inv
 from .model import ModelParams
 
 _ENDPOINT_MARGIN = 1e-13
@@ -67,6 +68,12 @@ class StepReport:
     energy_after: float
     dissipation_h: float
     inequality_slack: float
+    # The terms of the inequality, as the step evaluated them.
+    dissipation_d2: float
+    dissipation_dr: float
+    grad_mu_phi_sq: float
+    grad_mu_psi_sq: float
+    reaction_term: float
     mass_target_a: float
     mass_target_b: float
     mass_achieved_phi: float
@@ -116,29 +123,12 @@ def mean_targets(phi_prev: ScalarField, psi_prev: ScalarField, h: float,
     return a, b
 
 
-# ---------------------------------------------------------------------------
-# Spectral helpers on raw (ny, nx) arrays
-# ---------------------------------------------------------------------------
-
 def _p0(f: np.ndarray) -> np.ndarray:
-    return f - f.mean()
+    """Subtract the mean of each (ny, nx) field of a stack."""
+    return f - f.mean(axis=(-2, -1), keepdims=True)
 
 
-def _apply_inv_lap(grid: Grid2D, f: np.ndarray) -> np.ndarray:
-    c = cc_fwd(f)
-    lam = grid.lam.copy()
-    lam[0, 0] = 1.0
-    c /= lam
-    c[0, 0] = 0.0
-    return cc_inv(c)
-
-
-def _apply_lap(grid: Grid2D, f: np.ndarray) -> np.ndarray:
-    # Returns -Laplacian f (the Neumann operator).
-    return cc_inv(cc_fwd(f) * grid.lam)
-
-
-def _convective(grid: Grid2D, u: VectorField, f: ScalarField) -> np.ndarray:
+def _convective(u: VectorField, f: ScalarField) -> np.ndarray:
     g = gridops.gradient(f)
     return u.x * g.x + u.y * g.y
 
@@ -193,119 +183,113 @@ def _krylov_solve(op_matvec, precond_matvec, rhs: np.ndarray, shape, tol: float)
     return sol.reshape(shape)
 
 
+def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
+                   max_newton, damping_min, krylov=_krylov_solve, label="Newton"):
+    """Damped Newton-Krylov for k stacked fields with box bounds and fixed means.
+
+    x has shape (k, ny, nx) and each field x[i] stays strictly inside
+    boxes[i] = (lo, hi) with mean means[i].  The Jacobian acting on a
+    zero-mean perturbation v is
+
+        (J v)_i = symbol[i] v_i  +  P0( sum_j C_ij v_j ),
+
+    symbol[i] being diagonal in the cosine basis (zero on the constant
+    mode) and C = jacobian_coef(x) a pointwise (k, k, ny, nx) coefficient.
+    The linear solve is preconditioned by 1/(symbol[i] + mean(C_ii)).  Up to
+    max_newton updates are taken, stopping once max|residual(x)| <= tol.
+    Returns (x, number of residual evaluations).
+    """
+    x = np.array(x, dtype=float)
+    for it in range(1, max_newton + 2):
+        R = residual(x)
+        res = float(np.max(np.abs(R)))
+        if res <= tol:
+            return x, it
+        if it > max_newton:
+            raise NewtonDivergence(f"{label} did not converge: residual "
+                                   f"{res:.3e} after {max_newton} updates")
+        C = jacobian_coef(x)
+        cbar = [max(float(C[i, i].mean()), 1e-12) for i in range(len(x))]
+        prec = 1.0 / (symbol + np.array(cbar)[:, None, None])
+        prec[:, 0, 0] = 0.0
+
+        def matvec(v):
+            v = _p0(v)
+            return cc_inv(cc_fwd(v) * symbol) + _p0(np.sum(C * v[None], axis=1))
+
+        def precond(v):
+            return cc_inv(cc_fwd(v) * prec)
+
+        delta = krylov(matvec, precond, -R, x.shape, 0.01 * tol)
+        for i, (lo, hi) in enumerate(boxes):
+            x[i], _ = _damped_update(x[i], _p0(delta[i]), lo, hi, damping_min)
+            x[i] += means[i] - x[i].mean()
+
+
 # ---------------------------------------------------------------------------
 # Cahn-Hilliard subsystem (velocity frozen)
 # ---------------------------------------------------------------------------
 
-def _mu_psi_hat(grid, psi, psi_prev, conv_psi, h, mpsi):
-    rhs = _p0((psi - psi_prev) / h + conv_psi)
-    return -_apply_inv_lap(grid, rhs) / mpsi
-
-
-def _mu_phi_hat(grid, phi, phi_prev, conv_phi, reac, h, mphi):
-    rhs = _p0((phi - phi_prev) / h + conv_phi + reac)
-    return -_apply_inv_lap(grid, rhs) / mphi
+def _mu_hat(grid, x, x_prev, source, h, mobility):
+    """Zero-mean potential from the discrete flux law (x - x_prev)/h + source."""
+    return -gridops.inv_neg_lap(grid, (x - x_prev) / h + source) / mobility
 
 
 def _solve_psi(grid, psi_prev, phi_prev, conv_psi, b, h, params: ModelParams,
                tol: SolverTolerances) -> tuple[np.ndarray, np.ndarray, int]:
     mpsi = params.m_psi_const
-    beta = params.beta
 
-    def residual(psi):
-        mu = _mu_psi_hat(grid, psi, psi_prev, conv_psi, h, mpsi)
+    def residual(x):
+        # beta*A_N psi + P0 F' + P0 Gpsi - mu_hat = 0, with A_N = -Laplacian.
+        psi = x[0]
         fp = mdl.f_psi(psi, params.theta_psi)[1]
         gsec = mdl.secant_g_psi(phi_prev, psi, psi_prev, params.theta_c, params.w)
-        # mu_hat + beta*Lap(psi) - P0 F' - P0 Gpsi = 0, with Lap = -A_N.
-        return mu - _apply_lap(grid, psi) * beta - _p0(fp) - _p0(np.asarray(gsec))
+        return (params.beta * gridops.neg_lap(grid, psi) + _p0(fp + gsec)
+                - _mu_hat(grid, psi, psi_prev, conv_psi, h, mpsi))[None]
 
-    psi = psi_prev + (b - psi_prev.mean())
-    iters = 0
-    for it in range(1, tol.max_newton + 1):
-        iters = it
-        R = residual(psi)
-        if np.max(np.abs(R)) <= tol.newton_tol:
-            break
+    def jacobian_coef(x):
+        psi = x[0]
         fpp = mdl.f_psi(psi, params.theta_psi)[2]
         gp = mdl.secant_g_psi_dfirst(phi_prev, psi, psi_prev, params.theta_c, params.w)
-        coef = fpp + np.asarray(gp)
-        cbar = max(float(coef.mean()), 1e-12)
+        return (fpp + gp)[None, None]
 
-        def matvec(v):
-            v = _p0(v)
-            out = -_apply_inv_lap(grid, v) / (mpsi * h) - _apply_lap(grid, v) * beta
-            out -= _p0(coef * v)
-            return out
-
-        lam = grid.lam.copy()
-        lam[0, 0] = 1.0
-        denom = -(1.0 / (mpsi * h * lam) + beta * lam + cbar)
-
-        def precond(v):
-            c = cc_fwd(v) / denom
-            c[0, 0] = 0.0
-            return cc_inv(c)
-
-        delta = _krylov_solve(matvec, precond, -R, psi.shape, 0.01 * tol.newton_tol)
-        delta = _p0(delta)
-        psi, _ = _damped_update(psi, delta, 0.0, 1.0, tol.newton_damping_min)
-        psi += b - psi.mean()
-    else:
-        raise NewtonDivergence("psi Newton did not converge")
-    mu = _mu_psi_hat(grid, psi, psi_prev, conv_psi, h, mpsi)
-    return psi, mu, iters
+    symbol = params.beta * grid.lam + grid.inv_lam / (mpsi * h)
+    x, iters = bounded_newton(
+        (psi_prev + (b - psi_prev.mean()))[None], residual, jacobian_coef,
+        symbol[None], [(0.0, 1.0)], [b], tol.newton_tol, tol.max_newton,
+        tol.newton_damping_min, label="psi Newton")
+    psi = x[0]
+    return psi, _mu_hat(grid, psi, psi_prev, conv_psi, h, mpsi), iters
 
 
 def _solve_phi(grid, phi_prev, psi_new, conv_phi, reac, a, h, params: ModelParams,
                tol: SolverTolerances) -> tuple[np.ndarray, np.ndarray, int]:
     mphi = params.m_phi_const
     sig2 = params.sigma2
+    source = conv_phi + reac
 
-    def residual(phi):
-        mu = _mu_phi_hat(grid, phi, phi_prev, conv_phi, reac, h, mphi)
+    def residual(x):
+        phi = x[0]
         fp = mdl.f_phi(phi, params.theta_phi)[1]
         gsec = mdl.secant_g_phi(phi, phi_prev, psi_new, params.theta_c, params.w)
-        out = mu - _apply_lap(grid, phi) - _p0(fp) - _p0(np.asarray(gsec))
+        out = gridops.neg_lap(grid, phi) + _p0(fp + gsec)
         if sig2 > 0:
-            out -= sig2 * _apply_inv_lap(grid, _p0(phi))
-        return out
+            out += sig2 * gridops.inv_neg_lap(grid, phi)
+        return (out - _mu_hat(grid, phi, phi_prev, source, h, mphi))[None]
 
-    phi = phi_prev + (a - phi_prev.mean())
-    iters = 0
-    for it in range(1, tol.max_newton + 1):
-        iters = it
-        R = residual(phi)
-        if np.max(np.abs(R)) <= tol.newton_tol:
-            break
+    def jacobian_coef(x):
+        phi = x[0]
         fpp = mdl.f_phi(phi, params.theta_phi)[2]
         gp = mdl.secant_g_phi_dfirst(phi, phi_prev, psi_new, params.theta_c, params.w)
-        coef = fpp + np.asarray(gp)
-        cbar = max(float(coef.mean()), 1e-12)
+        return (fpp + gp)[None, None]
 
-        def matvec(v):
-            v = _p0(v)
-            out = -_apply_inv_lap(grid, v) * (1.0 / (mphi * h) + sig2)
-            out -= _apply_lap(grid, v)
-            out -= _p0(coef * v)
-            return out
-
-        lam = grid.lam.copy()
-        lam[0, 0] = 1.0
-        denom = -((1.0 / (mphi * h) + sig2) / lam + lam + cbar)
-
-        def precond(v):
-            c = cc_fwd(v) / denom
-            c[0, 0] = 0.0
-            return cc_inv(c)
-
-        delta = _krylov_solve(matvec, precond, -R, phi.shape, 0.01 * tol.newton_tol)
-        delta = _p0(delta)
-        phi, _ = _damped_update(phi, delta, -1.0, 1.0, tol.newton_damping_min)
-        phi += a - phi.mean()
-    else:
-        raise NewtonDivergence("phi Newton did not converge")
-    mu = _mu_phi_hat(grid, phi, phi_prev, conv_phi, reac, h, mphi)
-    return phi, mu, iters
+    symbol = grid.lam + (1.0 / (mphi * h) + sig2) * grid.inv_lam
+    x, iters = bounded_newton(
+        (phi_prev + (a - phi_prev.mean()))[None], residual, jacobian_coef,
+        symbol[None], [(-1.0, 1.0)], [a], tol.newton_tol, tol.max_newton,
+        tol.newton_damping_min, label="phi Newton")
+    phi = x[0]
+    return phi, _mu_hat(grid, phi, phi_prev, source, h, mphi), iters
 
 
 def ch_subsystem_solve(
@@ -325,8 +309,8 @@ def ch_subsystem_solve(
     a, b = targets
     phibar_prev = gridops.mean(prev.phi)
     reac = params.sigma1_of(prev.phi.data) * (phibar_prev - params.c)
-    conv_phi = _convective(grid, u, prev.phi)
-    conv_psi = _convective(grid, u, prev.psi)
+    conv_phi = _convective(u, prev.phi)
+    conv_psi = _convective(u, prev.psi)
 
     psi, mu_psi_hat, it_psi = _solve_psi(grid, prev.psi.data, prev.phi.data,
                                          conv_psi, b, h, params, tol)
@@ -369,11 +353,6 @@ def recover_physical_potentials(
     )
 
 
-def _grad_norm_sq(f: ScalarField) -> float:
-    g = gridops.gradient(f)
-    return float(np.sum(g.x ** 2 + g.y ** 2)) * f.grid.cell_area
-
-
 def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverTolerances,
                   init_potentials: ChemicalPotentials | None):
     grid = prev.phi.grid
@@ -388,15 +367,12 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
         mu_psi_hat = np.zeros((grid.ny, grid.nx))
         pi_warm = None
 
-    gphi_prev = gridops.gradient(prev.phi)
-    gpsi_prev = gridops.gradient(prev.psi)
-
     phi = psi = None
     u = prev.u
     newton = NewtonReport()
     for picard_it in range(1, tol.max_picard + 1):
-        gmp = _grad_of(grid, mu_phi_hat)
-        gms = _grad_of(grid, mu_psi_hat)
+        gmp = gridops.gradient(ScalarField(grid, mu_phi_hat))
+        gms = gridops.gradient(ScalarField(grid, mu_psi_hat))
         force = VectorField(
             grid,
             -(prev.phi.data * gmp.x + prev.psi.data * gms.x),
@@ -434,10 +410,6 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
     return u, phi, psi, potentials, picard_it, newton, targets
 
 
-def _grad_of(grid: Grid2D, arr: np.ndarray) -> VectorField:
-    return gridops.gradient(ScalarField(grid, arr))
-
-
 def coupled_time_step(
     prev: State,
     h: float,
@@ -464,8 +436,8 @@ def coupled_time_step(
     e_before = mdl.total_energy(prev, params)
     e_after = mdl.total_energy(next_state, params)
     d2, dr = dissipation_integrands(u, params, prev.phi, prev.psi)
-    grad_mu_phi_sq = _grad_norm_sq(potentials.mu_phi)
-    grad_mu_psi_sq = _grad_norm_sq(potentials.mu_psi)
+    grad_mu_phi_sq = gridops.grad_norm_sq(potentials.mu_phi)
+    grad_mu_psi_sq = gridops.grad_norm_sq(potentials.mu_psi)
     diss = (d2 + dr + params.m_phi_const * grad_mu_phi_sq
             + params.m_psi_const * grad_mu_psi_sq)
     phibar_prev = gridops.mean(prev.phi)
@@ -482,6 +454,11 @@ def coupled_time_step(
         energy_after=e_after,
         dissipation_h=h_try * diss,
         inequality_slack=slack,
+        dissipation_d2=d2,
+        dissipation_dr=dr,
+        grad_mu_phi_sq=grad_mu_phi_sq,
+        grad_mu_psi_sq=grad_mu_psi_sq,
+        reaction_term=reaction,
         mass_target_a=targets[0],
         mass_target_b=targets[1],
         mass_achieved_phi=gridops.mean(phi),

@@ -243,9 +243,8 @@ def test_convergence_to_equilibrium(spinodal_run):
     grid = state.phi.grid
     u_norm = math.sqrt(float(np.sum(state.u.x ** 2 + state.u.y ** 2))
                        * grid.cell_area)
-    from chdf.diagnostics import _grad_norm_sq
-    flux = (math.sqrt(_grad_norm_sq(pots.mu_phi))
-            + math.sqrt(_grad_norm_sq(pots.mu_psi)))
+    flux = (math.sqrt(gridops.grad_norm_sq(pots.mu_phi))
+            + math.sqrt(gridops.grad_norm_sq(pots.mu_psi)))
     assert u_norm < 1e-5 and flux < 1e-5
 
     sol = diag.stationary_solve(gridops.mean(state.phi),

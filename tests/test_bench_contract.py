@@ -1,0 +1,60 @@
+"""Names the benchmark in perfbench/ reaches into the package by.
+
+perfbench/tracing.py wraps each entry of its TARGETS table by name, and
+perfbench/worker.py times a steady run at diagnostics._krylov_solve; a
+rename in the package would break every traced or steady benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import chdf
+from chdf import diagnostics as diag
+from chdf import step
+from chdf.grid import Grid2D, ScalarField
+from chdf.model import ModelParams
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve():
+    for mod_name, attr in _tracing_module().TARGETS:
+        if mod_name == "driver.LedgerWriter":
+            owner = chdf.driver.LedgerWriter
+        else:
+            owner = importlib.import_module(f"chdf.{mod_name}")
+        assert callable(getattr(owner, attr, None)), f"{mod_name}.{attr}"
+
+
+def test_stationary_solve_calls_krylov_once_per_update(monkeypatch):
+    calls = {"krylov": 0, "damped": 0}
+    krylov, damped = diag._krylov_solve, step._damped_update
+
+    def counted_krylov(*args, **kwargs):
+        calls["krylov"] += 1
+        return krylov(*args, **kwargs)
+
+    def counted_damped(*args, **kwargs):
+        calls["damped"] += 1
+        return damped(*args, **kwargs)
+
+    monkeypatch.setattr(diag, "_krylov_solve", counted_krylov)
+    monkeypatch.setattr(step, "_damped_update", counted_damped)
+    grid = Grid2D(16, 16, 1.0, 1.0)
+    X, Y = grid.cell_centers()
+    pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
+    seed = (ScalarField(grid, 0.1 + pert), ScalarField(grid, 0.5 - pert))
+    diag.stationary_solve(0.1, 0.5, seed, ModelParams(w=1.0, theta_c=1.0))
+    # One damped update per field (phi, psi) per Newton update.
+    assert calls["krylov"] >= 1
+    assert calls["damped"] == 2 * calls["krylov"]

@@ -133,11 +133,12 @@ def test_stationary_mu_fields_constant(grid):
     seed = (ScalarField(grid, 0.1 + pert), ScalarField(grid, 0.5 - pert))
     tol = 1e-10
     sol = diag.stationary_solve(0.1, 0.5, seed, params, tol=tol)
-    from chdf.step import _apply_inv_lap, _apply_lap, _p0
+    from chdf.grid import inv_neg_lap, neg_lap
+    from chdf.step import _p0
     phi = sol.phi_inf.data
     psi = sol.psi_inf.data
-    mu_field = (_apply_lap(grid, phi)
-                + params.sigma2 * _apply_inv_lap(grid, _p0(phi))
+    mu_field = (neg_lap(grid, phi)
+                + params.sigma2 * inv_neg_lap(grid, _p0(phi))
                 + mdl.f_phi(phi)[1] + mdl.coupling_g(phi, psi, 1.0, 1.0)[1])
     assert np.max(mu_field) - np.min(mu_field) <= 10 * tol
 
@@ -171,6 +172,29 @@ def test_ledger_row_validation():
     bad = diag.LedgerRow(*([math.nan] + [0.0] * 17))
     with pytest.raises(ValidationError, match="time"):
         bad.validate()
+
+
+def test_ledger_terms_reproduce_slack_with_reaction(grid):
+    # The ledger's columns are the step's own terms, so each row closes its
+    # energy balance to round-off; the reaction term uses the old phi.
+    params = ModelParams(w=1.0, theta_c=1.0, alpha=1.0, sigma1=2.0, c=-0.2)
+    X, _ = grid.cell_centers()
+    state = State(VectorField.zero(grid),
+                  ScalarField(grid, 0.5 * np.tanh((X - 0.5) / 0.1)),
+                  ScalarField.constant(grid, 0.5))
+    h = 1e-3
+    e_prev = mdl.total_energy(state, params)
+    pots = None
+    for _ in range(3):
+        state, pots, report = coupled_time_step(state, h, params,
+                                                SolverTolerances(), pots)
+        row = diag.build_ledger_row(state, pots, report, params)
+        terms = (row.dissipation_d2 + row.dissipation_dr
+                 + params.m_phi_const * row.grad_mu_phi_sq
+                 + params.m_psi_const * row.grad_mu_psi_sq + row.reaction_term)
+        assert row.slack == pytest.approx(e_prev - row.energy_total - h * terms,
+                                          abs=1e-13 * (1.0 + abs(e_prev)))
+        e_prev = row.energy_total
 
 
 def test_build_ledger_row_matches_state(grid):

@@ -300,5 +300,6 @@ def test_cli_threads_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CHDF_THREADS", "1")
     out = tmp_path / "o"
     assert cli.main(["run", cfg_path, "--output-dir", str(out)]) == 0
-    monkeypatch.setenv("CHDF_THREADS", "soon")
-    assert cli.main(["run", cfg_path]) == cli.EXIT_VALIDATION
+    for bad in ("soon", "-3"):
+        monkeypatch.setenv("CHDF_THREADS", bad)
+        assert cli.main(["run", cfg_path]) == cli.EXIT_VALIDATION

@@ -1,5 +1,7 @@
 """The coupled implicit-explicit time step."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from chdf import model as mdl
 from chdf.errors import StepTooLarge
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
-from chdf.step import (SolverTolerances, State, _apply_inv_lap, _apply_lap,
-                       _damped_update, _p0, coupled_time_step, mean_targets)
+from chdf.grid import inv_neg_lap, neg_lap
+from chdf.step import (SolverTolerances, State, _damped_update, _p0,
+                       coupled_time_step, mean_targets)
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +151,23 @@ def test_recovered_potentials_satisfy_pointwise_law(grid):
     phi = nxt.phi.data
     gsec = np.asarray(mdl.secant_g_phi(phi, state.phi.data, nxt.psi.data,
                                        params.theta_c, params.w))
-    lhs = pots.mu_phi.data - gsec - params.sigma2 * _apply_inv_lap(grid, _p0(phi))
-    rhs = _apply_lap(grid, phi) + mdl.f_phi(phi, params.theta_phi)[1]
+    lhs = pots.mu_phi.data - gsec - params.sigma2 * inv_neg_lap(grid, _p0(phi))
+    rhs = neg_lap(grid, phi) + mdl.f_phi(phi, params.theta_phi)[1]
     assert np.max(np.abs(lhs - rhs)) < 10 * tol.newton_tol * (1 + np.max(np.abs(rhs)))
+
+
+def test_newton_cap_admits_the_final_update(grid):
+    # The reported count includes the converged residual check, so a cap of
+    # one less still allows every update the solve needs.
+    params = ModelParams(alpha=1.0, w=1.0, theta_c=2.0, sigma2=0.1)
+    state = _stripe_state(grid)
+    tol = SolverTolerances()
+    nxt, _, report = coupled_time_step(state, 1e-3, params, tol)
+    capped = replace(tol, max_newton=report.newton_iterations_phi - 1)
+    nxt2, _, report2 = coupled_time_step(state, 1e-3, params, capped)
+    assert np.array_equal(nxt2.phi.data, nxt.phi.data)
+    assert np.array_equal(nxt2.psi.data, nxt.psi.data)
+    assert report2.newton_iterations_phi == report.newton_iterations_phi
 
 
 def test_step_report_fields_consistent(grid):
