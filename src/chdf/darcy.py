@@ -72,25 +72,20 @@ def velocity_solve(
     params: ModelParams,
     tol: float = 1e-10,
     max_outer: int = 500,
-    phi: ScalarField | None = None,
-    psi: ScalarField | None = None,
     pi0: ScalarField | None = None,
 ) -> tuple[VectorField, ScalarField, VelocitySolveReport]:
     """Solve a/h (u - u_prev) + nu u + eta |u|^(r-2) u + grad(pi) = force.
 
     Returns u with zero normal trace by construction, max-norm divergence
     below tol, mean-zero pi, and the pointwise momentum law satisfied to
-    the root tolerance.  The drag coefficients are evaluated from (phi, psi)
-    when given, otherwise from zero fields.
+    the root tolerance.
     """
     grid = u_prev.grid
     if h <= 0:
         raise ValueError("time step must be positive")
     shape = (grid.ny, grid.nx)
-    pdat = phi.data if phi is not None else np.zeros(shape)
-    qdat = psi.data if psi is not None else np.zeros(shape)
-    nu = params.nu(pdat, qdat)
-    eta = params.eta(pdat, qdat)
+    nu = params.nu_const
+    eta = params.eta_const
     r = params.r
     inertia = params.alpha / h
     c1 = inertia + nu
@@ -163,20 +158,10 @@ def velocity_solve(
     return VectorField(grid, ux, uy), ScalarField(grid, pi), report
 
 
-def dissipation_integrands(
-    u: VectorField,
-    params: ModelParams,
-    phi: ScalarField | None = None,
-    psi: ScalarField | None = None,
-) -> tuple[float, float]:
+def dissipation_integrands(u: VectorField, params: ModelParams) -> tuple[float, float]:
     """Quadratic and superlinear drag dissipation integrals of u."""
     grid = u.grid
-    shape = (grid.ny, grid.nx)
-    pdat = phi.data if phi is not None else np.zeros(shape)
-    qdat = psi.data if psi is not None else np.zeros(shape)
-    nu = params.nu(pdat, qdat)
-    eta = params.eta(pdat, qdat)
     mag2 = u.x ** 2 + u.y ** 2
-    d2 = float(np.sum(nu * mag2)) * grid.cell_area
-    dr = float(np.sum(eta * mag2 ** (params.r / 2.0))) * grid.cell_area
+    d2 = float(np.sum(params.nu_const * mag2)) * grid.cell_area
+    dr = float(np.sum(params.eta_const * mag2 ** (params.r / 2.0))) * grid.cell_area
     return d2, dr

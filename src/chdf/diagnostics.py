@@ -72,8 +72,8 @@ def build_ledger_row(state: State, potentials: ChemicalPotentials,
     row = LedgerRow(
         time=state.time,
         energy_total=report.energy_after,
-        energy_free=mdl.free_energy(state.phi, state.psi, params),
-        kinetic=mdl.kinetic_energy(state.u, params),
+        energy_free=report.energy_free,
+        kinetic=report.kinetic,
         dissipation_d2=report.dissipation_d2,
         dissipation_dr=report.dissipation_dr,
         grad_mu_phi_sq=report.grad_mu_phi_sq,
@@ -100,8 +100,7 @@ def equilibrium_residual(state: State, potentials: ChemicalPotentials,
     gm_phi = math.sqrt(gridops.grad_norm_sq(potentials.mu_phi))
     gm_psi = math.sqrt(gridops.grad_norm_sq(potentials.mu_psi))
     u_l2 = math.sqrt(float(np.sum(state.u.x ** 2 + state.u.y ** 2)) * grid.cell_area)
-    react = abs(float(np.mean(params.sigma1_of(state.phi.data)))
-                * (gridops.mean(state.phi) - params.c))
+    react = abs(params.sigma1 * (gridops.mean(state.phi) - params.c))
     return max(gm_phi, gm_psi, u_l2, react)
 
 
@@ -165,12 +164,8 @@ def stationary_solve(
         phi, psi = x
         fpp = mdl.f_phi(phi, params.theta_phi)[2]
         fqq = mdl.f_psi(psi, params.theta_psi)[2]
-        # Second derivatives of G on the box (clamp inactive for bounded
-        # iterates).
-        p, dp = mdl._clamp(phi, -1.0, 1.0)
-        q, dq = mdl._clamp(psi, 0.0, 1.0)
-        g_pp = (-params.theta_c + 2.0 * params.w * q) * dp * dp
-        g_pq = 2.0 * params.w * p * dp * dq
+        g_pp = -params.theta_c + 2.0 * params.w * psi
+        g_pq = 2.0 * params.w * phi
         return np.array([[fpp + g_pp, g_pq], [g_pq, fqq]])
 
     x0 = np.stack([phi_seed.data + (phi_mass - phi_seed.data.mean()),

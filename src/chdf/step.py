@@ -37,9 +37,10 @@ class State:
     step_index: int = 0
 
     def validate(self) -> None:
-        if np.max(np.abs(self.phi.data)) >= 1.0:
+        # Written so that a NaN fails them.
+        if not np.max(np.abs(self.phi.data)) < 1.0:
             raise BoundViolation("phi leaves (-1, 1)")
-        if np.min(self.psi.data) <= 0.0 or np.max(self.psi.data) >= 1.0:
+        if not (np.min(self.psi.data) > 0.0 and np.max(self.psi.data) < 1.0):
             raise BoundViolation("psi leaves (0, 1)")
 
     def copy(self) -> "State":
@@ -66,6 +67,9 @@ class StepReport:
     newton_iterations_psi: int
     energy_before: float
     energy_after: float
+    # The two parts of energy_after.
+    energy_free: float
+    kinetic: float
     dissipation_h: float
     inequality_slack: float
     # The terms of the inequality, as the step evaluated them.
@@ -114,11 +118,11 @@ class NewtonReport:
 def mean_targets(phi_prev: ScalarField, psi_prev: ScalarField, h: float,
                  params: ModelParams) -> tuple[float, float]:
     """Prescribed step means: the phase mean relaxes toward c, psi is conserved."""
-    sbar = float(np.mean(params.sigma1_of(phi_prev.data)))
-    if h * sbar >= 1.0:
-        raise StepTooLarge(f"h*sigma1 = {h * sbar:.3e} >= 1 would overshoot the mean target")
+    s1 = params.sigma1
+    if h * s1 >= 1.0:
+        raise StepTooLarge(f"h*sigma1 = {h * s1:.3e} >= 1 would overshoot the mean target")
     phibar = gridops.mean(phi_prev)
-    a = phibar - h * sbar * (phibar - params.c)
+    a = phibar - h * s1 * (phibar - params.c)
     b = gridops.mean(psi_prev)
     return a, b
 
@@ -248,10 +252,8 @@ def _solve_psi(grid, psi_prev, phi_prev, conv_psi, b, h, params: ModelParams,
                 - _mu_hat(grid, psi, psi_prev, conv_psi, h, mpsi))[None]
 
     def jacobian_coef(x):
-        psi = x[0]
-        fpp = mdl.f_psi(psi, params.theta_psi)[2]
-        gp = mdl.secant_g_psi_dfirst(phi_prev, psi, psi_prev, params.theta_c, params.w)
-        return (fpp + gp)[None, None]
+        # The psi secant does not depend on the new psi: G is linear in psi.
+        return mdl.f_psi(x[0], params.theta_psi)[2][None, None]
 
     symbol = params.beta * grid.lam + grid.inv_lam / (mpsi * h)
     x, iters = bounded_newton(
@@ -308,7 +310,7 @@ def ch_subsystem_solve(
     grid = prev.phi.grid
     a, b = targets
     phibar_prev = gridops.mean(prev.phi)
-    reac = params.sigma1_of(prev.phi.data) * (phibar_prev - params.c)
+    reac = params.sigma1 * (phibar_prev - params.c)
     conv_phi = _convective(u, prev.phi)
     conv_psi = _convective(u, prev.psi)
 
@@ -379,7 +381,7 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
             -(prev.phi.data * gmp.y + prev.psi.data * gms.y),
         )
         u_raw, pi, _ = velocity_solve(prev.u, force, h, params, tol=tol.velocity_tol,
-                                      phi=prev.phi, psi=prev.psi, pi0=pi_warm)
+                                      pi0=pi_warm)
         pi_warm = pi
         # Project so the transport velocity is solenoidal to machine
         # precision; the change is within the velocity tolerance.
@@ -434,15 +436,18 @@ def coupled_time_step(
     next_state = State(u, phi, psi, prev.time + h_try, prev.step_index + 1)
 
     e_before = mdl.total_energy(prev, params)
-    e_after = mdl.total_energy(next_state, params)
-    d2, dr = dissipation_integrands(u, params, prev.phi, prev.psi)
+    # The sum total_energy forms, with its parts kept for the ledger.
+    kinetic = mdl.kinetic_energy(u, params)
+    energy_free = mdl.free_energy(phi, psi, params)
+    e_after = kinetic + energy_free
+    d2, dr = dissipation_integrands(u, params)
     grad_mu_phi_sq = gridops.grad_norm_sq(potentials.mu_phi)
     grad_mu_psi_sq = gridops.grad_norm_sq(potentials.mu_psi)
     diss = (d2 + dr + params.m_phi_const * grad_mu_phi_sq
             + params.m_psi_const * grad_mu_psi_sq)
     phibar_prev = gridops.mean(prev.phi)
     reaction = (phibar_prev - params.c) * float(
-        np.sum(params.sigma1_of(prev.phi.data) * potentials.mu_phi.data)
+        np.sum(params.sigma1 * potentials.mu_phi.data)
     ) * phi.grid.cell_area
     slack = e_before - (e_after + h_try * diss + h_try * reaction)
 
@@ -452,6 +457,8 @@ def coupled_time_step(
         newton_iterations_psi=newton.iterations_psi,
         energy_before=e_before,
         energy_after=e_after,
+        energy_free=energy_free,
+        kinetic=kinetic,
         dissipation_h=h_try * diss,
         inequality_slack=slack,
         dissipation_d2=d2,

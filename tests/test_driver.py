@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from chdf import cli, driver
-from chdf.errors import (ParseError, SnapshotFormatError, StepTooLarge,
-                         UnknownPreset, ValidationError)
+from chdf.errors import (BoundViolation, ParseError, SnapshotFormatError,
+                         StepTooLarge, UnknownPreset, ValidationError)
 from chdf.grid import Grid2D, ScalarField
 from chdf.model import ModelParams
 
@@ -82,9 +82,18 @@ def test_malformed_line_is_parse_error(tmp_path):
 
 
 def test_non_numeric_value_is_parse_error(tmp_path):
-    bad = MINIMAL + "\n[model]\nalpha = fast\n"
-    with pytest.raises(ParseError, match="alpha"):
-        driver.load_config(_write(tmp_path / "g.cfg", bad))
+    cases = [("model", "alpha", "fast"), ("time", "h", "nan"),
+             ("time", "t_end", "inf"), ("grid", "Lx", "nan"),
+             ("initial", "amplitude", "nan"), ("tolerances", "newton_tol", "nan")]
+    for section, key, raw in cases:
+        text = "\n".join(ln for ln in MINIMAL.splitlines()
+                         if not ln.startswith(f"{key} ="))
+        header = f"[{section}]\n"
+        entry = f"{key} = {raw}\n"
+        bad = (text.replace(header, header + entry) if header in text
+               else f"{text}\n{header}{entry}")
+        with pytest.raises(ParseError, match=rf"\[{section}\] {key} = "):
+            driver.load_config(_write(tmp_path / "g.cfg", bad))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +160,18 @@ def test_random_spinodal_deterministic_and_bounded(grid):
 def test_unknown_preset_raises(grid):
     with pytest.raises(UnknownPreset):
         driver.initial_condition("vortex", grid, ModelParams(), 0)
+
+
+def test_snapshot_preset_rejects_nan_cell(tmp_path, grid):
+    src = driver.initial_condition("random_spinodal", grid, ModelParams(), 7)
+    src.phi.data[3, 5] = np.nan
+    phi_path = str(tmp_path / "phi.snap")
+    psi_path = str(tmp_path / "psi.snap")
+    driver.write_snapshot(phi_path, src.phi, 0.0, "phi")
+    driver.write_snapshot(psi_path, src.psi, 0.0, "psi")
+    with pytest.raises(BoundViolation, match="phi leaves"):
+        driver.initial_condition("snapshot", grid, ModelParams(), 0,
+                                 phi_path=phi_path, psi_path=psi_path)
 
 
 def test_snapshot_preset_round_trip(tmp_path, grid):

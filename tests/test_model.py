@@ -86,7 +86,7 @@ def test_potentials_reject_out_of_domain():
 
 
 # ---------------------------------------------------------------------------
-# Coupling G and its smooth clamp
+# Coupling G
 # ---------------------------------------------------------------------------
 
 def test_coupling_value_on_box():
@@ -155,6 +155,27 @@ def test_secant_tiny_gap_no_cancellation():
     sec = mdl.secant_g_phi(a, b, c, 1.0, 1.0)
     exact = (a + b) * (-0.5 + 1.0 * 0.25)
     assert np.max(np.abs(sec - exact)) < 1e-14
+
+
+def test_closed_forms_match_finite_differences():
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-0.95, 0.95, 200)
+    b = rng.uniform(-0.95, 0.95, 200)
+    c = rng.uniform(0.05, 0.95, 200)
+    theta_c, w = 1.7, 0.8
+    eps = 1e-6
+    _, d_phi, d_psi = mdl.coupling_g(a, c, theta_c, w)
+    fd_phi = (mdl.coupling_g(a + eps, c, theta_c, w)[0]
+              - mdl.coupling_g(a - eps, c, theta_c, w)[0]) / (2 * eps)
+    fd_psi = (mdl.coupling_g(a, c + eps, theta_c, w)[0]
+              - mdl.coupling_g(a, c - eps, theta_c, w)[0]) / (2 * eps)
+    assert np.max(np.abs(d_phi - fd_phi)) < 1e-8
+    assert np.max(np.abs(d_psi - fd_psi)) < 1e-8
+    dfirst = mdl.secant_g_phi_dfirst(a, b, c, theta_c, w)
+    fd_first = (mdl.secant_g_phi(a + eps, b, c, theta_c, w)
+                - mdl.secant_g_phi(a - eps, b, c, theta_c, w)) / (2 * eps)
+    assert dfirst.shape == a.shape
+    assert np.max(np.abs(dfirst - fd_first)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
