@@ -62,8 +62,8 @@ class EquilibriumSolution:
     mu_psi_inf: float
 
 
-def build_ledger_row(state: State, potentials: ChemicalPotentials,
-                     report: StepReport, params: ModelParams) -> LedgerRow:
+def build_ledger_row(state: State, report: StepReport,
+                     params: ModelParams) -> LedgerRow:
     """Assemble the ledger row for a freshly completed step."""
     grid = state.phi.grid
     mag2 = state.u.x ** 2 + state.u.y ** 2

@@ -349,7 +349,7 @@ def run(cfg: RunConfig, perturb_hook=None) -> int:
                 perturb_hook(k, state)
                 report.mass_achieved_phi = gridops.mean(state.phi)
                 report.mass_achieved_psi = gridops.mean(state.psi)
-            row = diag.build_ledger_row(state, potentials, report, params)
+            row = diag.build_ledger_row(state, report, params)
             writer.write(row)
             violations = []
             if report.inequality_slack < slack_floor:

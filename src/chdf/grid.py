@@ -16,11 +16,11 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, dst, idct, idst
+from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
 from .errors import MeanNotZero
 
-# Worker count for the 1-D transforms; 0/None means library default.
+# Worker count for the transforms; None means library default.
 _workers: int | None = None
 
 
@@ -30,10 +30,6 @@ def set_num_threads(n: int) -> None:
     if n < 0:
         raise ValueError(f"thread count must be >= 0, got {n}")
     _workers = os.cpu_count() if n == 0 else n
-
-
-def _w() -> int | None:
-    return _workers
 
 
 @dataclass(frozen=True)
@@ -166,74 +162,42 @@ class VectorField:
 
 
 # ---------------------------------------------------------------------------
-# 1-D transform helpers.  Scalings are chosen so the coefficient of mode k is
-# the amplitude of cos(k pi x/L) (resp. sin((m+1) pi x/L)) in the series.
-# Coefficient layout: "cc" holds cos(k pi x/Lx) cos(l pi y/Ly) at [l, k];
-# "sc" holds x-sine mode k at index k-1, "cs" y-sine mode l at index l-1.
+# 2-D transforms on raw arrays (axis -1 = x, axis -2 = y); leading axes, as
+# in a stack of fields, are transformed independently.  Each is scipy's
+# type-II transform (inverse: type III) in its default unnormalised scaling,
+# one pass over x and then one over y (the other order rounds differently).
+# Layout: "cc" holds cos(k pi x/Lx) cos(l pi y/Ly) at [l, k]; "sc" holds
+# x-sine mode k at index k-1, "cs" y-sine mode l at index l-1.  Along an axis
+# of n cells, cosine mode k and sine mode k-1 (1 <= k < n) carry n times the
+# mode's amplitude, the constant and the top sine mode 2n times, so the
+# derivative maps below act on coefficients as they would on amplitudes.
+# With nx and ny powers of two these factors are powers of two, which scale
+# a float exactly: every operator gives the bits it would give on amplitude
+# coefficients.
 # ---------------------------------------------------------------------------
 
-def _cos_fwd(f: np.ndarray, axis: int) -> np.ndarray:
-    n = f.shape[axis]
-    c = dct(f, type=2, axis=axis, workers=_w()) / (2.0 * n)
-    sl = [slice(None)] * f.ndim
-    sl[axis] = slice(1, None)
-    c[tuple(sl)] *= 2.0
-    return c
-
-
-def _cos_inv(c: np.ndarray, axis: int) -> np.ndarray:
-    n = c.shape[axis]
-    x = c * n
-    sl = [slice(None)] * c.ndim
-    sl[axis] = slice(0, 1)
-    x[tuple(sl)] *= 2.0
-    return idct(x, type=2, axis=axis, workers=_w())
-
-
-def _sin_fwd(f: np.ndarray, axis: int) -> np.ndarray:
-    # Index m holds the amplitude of sin((m+1) pi x / L), m = 0..n-1.
-    n = f.shape[axis]
-    s = dst(f, type=2, axis=axis, workers=_w()) / n
-    sl = [slice(None)] * f.ndim
-    sl[axis] = slice(n - 1, n)
-    s[tuple(sl)] *= 0.5
-    return s
-
-
-def _sin_inv(s: np.ndarray, axis: int) -> np.ndarray:
-    n = s.shape[axis]
-    x = s * n
-    sl = [slice(None)] * s.ndim
-    sl[axis] = slice(n - 1, n)
-    x[tuple(sl)] *= 2.0
-    return idst(x, type=2, axis=axis, workers=_w())
-
-
-# 2-D transforms on raw arrays (axis -1 = x, axis -2 = y); leading axes,
-# as in a stack of fields, are transformed independently.
-
 def cc_fwd(f: np.ndarray) -> np.ndarray:
-    return _cos_fwd(_cos_fwd(f, -1), -2)
+    return dctn(f, 2, axes=(-1, -2), workers=_workers)
 
 
 def cc_inv(c: np.ndarray) -> np.ndarray:
-    return _cos_inv(_cos_inv(c, -1), -2)
+    return idctn(c, 2, axes=(-1, -2), workers=_workers)
 
 
 def sc_fwd(f: np.ndarray) -> np.ndarray:
-    return _cos_fwd(_sin_fwd(f, -1), -2)
+    return dct(dst(f, 2, axis=-1, workers=_workers), 2, axis=-2, workers=_workers)
 
 
 def sc_inv(c: np.ndarray) -> np.ndarray:
-    return _cos_inv(_sin_inv(c, -1), -2)
+    return idct(idst(c, 2, axis=-1, workers=_workers), 2, axis=-2, workers=_workers)
 
 
 def cs_fwd(f: np.ndarray) -> np.ndarray:
-    return _sin_fwd(_cos_fwd(f, -1), -2)
+    return dst(dct(f, 2, axis=-1, workers=_workers), 2, axis=-2, workers=_workers)
 
 
 def cs_inv(c: np.ndarray) -> np.ndarray:
-    return _sin_inv(_cos_inv(c, -1), -2)
+    return idst(idct(c, 2, axis=-1, workers=_workers), 2, axis=-2, workers=_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +252,10 @@ def inner(f: ScalarField, g: ScalarField) -> float:
     return float(np.sum(f.data * g.data)) * f.grid.cell_area
 
 
-def l2_norm_sq(f: ScalarField) -> float:
-    return inner(f, f)
-
-
-def _grad_arrays(grid: Grid2D, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx, gy = _grad_coeffs(grid, cc_fwd(f))
-    return sc_inv(gx), cs_inv(gy)
-
-
 def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient, collocated at cell centers."""
-    gx, gy = _grad_arrays(f.grid, f.data)
-    return VectorField(f.grid, gx, gy)
+    gx, gy = _grad_coeffs(f.grid, cc_fwd(f.data))
+    return VectorField(f.grid, sc_inv(gx), cs_inv(gy))
 
 
 def grad_norm_sq(f: ScalarField) -> float:
@@ -309,13 +264,10 @@ def grad_norm_sq(f: ScalarField) -> float:
     return float(np.sum(g.x ** 2 + g.y ** 2)) * f.grid.cell_area
 
 
-def _div_arrays(grid: Grid2D, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    return cc_inv(_div_coeffs(grid, sc_fwd(vx), cs_fwd(vy)))
-
-
 def divergence(v: VectorField) -> ScalarField:
     """Spectral divergence of a collocated vector field."""
-    return ScalarField(v.grid, _div_arrays(v.grid, v.x, v.y))
+    grid = v.grid
+    return ScalarField(grid, cc_inv(_div_coeffs(grid, sc_fwd(v.x), cs_fwd(v.y))))
 
 
 def neumann_laplacian(f: ScalarField) -> ScalarField:
@@ -335,21 +287,10 @@ def inverse_neumann_laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, inv_neg_lap(f.grid, f.data))
 
 
-def _mode_weights(grid: Grid2D) -> np.ndarray:
-    # Quadrature of squared basis functions: Lx Ly with a factor 1/2 per
-    # nonzero cosine index.
-    wx = np.full(grid.nx, 0.5)
-    wx[0] = 1.0
-    wy = np.full(grid.ny, 0.5)
-    wy[0] = 1.0
-    return grid.area * wy[:, None] * wx[None, :]
-
-
 def hminus1_norm_sq(f: ScalarField) -> float:
     """Squared H^-1 seminorm: <f, invLap f> = ||grad(invLap f)||^2."""
     _check_zero_mean(f)
-    c = cc_fwd(f.data)
-    return float(np.sum(c * c * _mode_weights(f.grid) * f.grid.inv_lam))
+    return inner(f, ScalarField(f.grid, inv_neg_lap(f.grid, f.data)))
 
 
 def helmholtz_project(v: VectorField) -> tuple[VectorField, ScalarField]:

@@ -123,12 +123,14 @@ def test_operator_exactness():
 
     rng = np.random.default_rng(1)
     from chdf.grid import cc_inv, cs_inv, sc_inv
-    v = VectorField(GRID, sc_inv(rng.standard_normal((64, 64))),
-                    cs_inv(rng.standard_normal((64, 64))))
+    n = 64 * 64    # modes of about unit amplitude (unnormalised inverses)
+    v = VectorField(GRID, sc_inv(n * rng.standard_normal((64, 64))),
+                    cs_inv(n * rng.standard_normal((64, 64))))
     w, _ = gridops.helmholtz_project(v)
     w2, _ = gridops.helmholtz_project(w)
     helm = max(float(np.max(np.abs(w2.x - w.x))), float(np.max(np.abs(w2.y - w.y))))
-    grad = gridops.gradient(ScalarField(GRID, cc_inv(rng.standard_normal((64, 64)))))
+    grad = gridops.gradient(
+        ScalarField(GRID, cc_inv(n * rng.standard_normal((64, 64)))))
     pg, _ = gridops.helmholtz_project(grad)
     annihilation = float(np.max(np.hypot(pg.x, pg.y)))
     scale = 1 + float(np.max(np.hypot(grad.x, grad.y)))

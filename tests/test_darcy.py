@@ -84,8 +84,9 @@ def test_solenoidal_forcing_small_superlinear_drag(grid):
 def test_momentum_residual_reported_small(grid):
     rng = np.random.default_rng(2)
     from chdf.grid import cs_inv, sc_inv
-    force = VectorField(grid, sc_inv(rng.standard_normal((32, 32))),
-                        cs_inv(rng.standard_normal((32, 32))))
+    n = 32 * 32    # modes of about unit amplitude (unnormalised inverses)
+    force = VectorField(grid, sc_inv(n * rng.standard_normal((32, 32))),
+                        cs_inv(n * rng.standard_normal((32, 32))))
     params = ModelParams(alpha=1.0, r=3.0)
     u, pi, report = velocity_solve(VectorField.zero(grid), force, 1e-2, params)
     scale = 1.0 + np.max(np.hypot(force.x, force.y))

@@ -188,7 +188,7 @@ def test_ledger_terms_reproduce_slack_with_reaction(grid):
     for _ in range(3):
         state, pots, report = coupled_time_step(state, h, params,
                                                 SolverTolerances(), pots)
-        row = diag.build_ledger_row(state, pots, report, params)
+        row = diag.build_ledger_row(state, report, params)
         terms = (row.dissipation_d2 + row.dissipation_dr
                  + params.m_phi_const * row.grad_mu_phi_sq
                  + params.m_psi_const * row.grad_mu_psi_sq + row.reaction_term)
@@ -205,7 +205,7 @@ def test_build_ledger_row_matches_state(grid):
                    ScalarField.constant(grid, 0.5))
     state, pots, report = coupled_time_step(state0, 1e-3, params,
                                             SolverTolerances())
-    row = diag.build_ledger_row(state, pots, report, params)
+    row = diag.build_ledger_row(state, report, params)
     assert row.time == state.time
     assert row.energy_total == report.energy_after
     assert row.kinetic + row.energy_free == pytest.approx(row.energy_total, rel=1e-12)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chdf import cli, driver
+from chdf import grid as gridops
 from chdf.errors import (BoundViolation, ParseError, SnapshotFormatError,
                          StepTooLarge, UnknownPreset, ValidationError)
 from chdf.grid import Grid2D, ScalarField
@@ -15,6 +16,12 @@ from chdf.model import ModelParams
 @pytest.fixture
 def grid():
     return Grid2D(16, 16, 1.0, 1.0)
+
+
+@pytest.fixture(autouse=True)
+def _keep_thread_setting(monkeypatch):
+    # cli.main sets the transform worker count from CHDF_THREADS; restore it.
+    monkeypatch.setattr(gridops, "_workers", gridops._workers)
 
 
 def _write(path, text):

@@ -1,5 +1,7 @@
 """Spectral grid, transforms, and discrete calculus operators."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,17 @@ def test_transform_round_trips(grid):
     assert np.max(np.abs(cc_inv(cc_fwd(f)) - f)) < 1e-12
     assert np.max(np.abs(sc_inv(sc_fwd(f)) - f)) < 1e-10
     assert np.max(np.abs(cs_inv(cs_fwd(f)) - f)) < 1e-10
+
+
+def test_transforms_act_on_stacks_fieldwise(grid):
+    # bounded_newton and the stationary solve transform (2, ny, nx) stacks
+    # and rely on each field coming out as if transformed alone.
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((2, grid.ny, grid.nx))
+    for transform in (cc_fwd, cc_inv, sc_fwd, sc_inv, cs_fwd, cs_inv):
+        out = transform(stack)
+        for i in range(2):
+            assert np.array_equal(out[i], transform(stack[i])), transform.__name__
 
 
 def test_mean_and_integral(grid):
@@ -92,21 +105,26 @@ def test_inverse_laplacian_rejects_nonzero_mean(unit_grid):
 
 
 def test_hminus1_norm_single_mode(unit_grid):
-    # For f = cos(pi x) on the unit square the norm squared is
-    # (1/pi^2) * (area/2): one mode, coefficient weight 1/2.
-    X, _ = unit_grid.cell_centers()
-    f = ScalarField(unit_grid, np.cos(np.pi * X))
-    expected = (1.0 / np.pi ** 2) * 0.5
-    assert gridops.hminus1_norm_sq(f) == pytest.approx(expected, rel=1e-12)
+    # For f = cos(k pi x) cos(l pi y) on the unit square the norm squared is
+    # (1/lam) * area * (1/2 per nonzero index): a pure-x mode, a pure-y mode
+    # and a mixed one.
+    X, Y = unit_grid.cell_centers()
+    for k, l, weight in ((1, 0, 0.5), (0, 3, 0.5), (1, 2, 0.25)):
+        f = ScalarField(unit_grid, np.cos(k * np.pi * X) * np.cos(l * np.pi * Y))
+        expected = weight / ((k * np.pi) ** 2 + (l * np.pi) ** 2)
+        assert gridops.hminus1_norm_sq(f) == pytest.approx(expected, rel=1e-12), (k, l)
 
 
 def test_adjointness_gradient_divergence(grid):
     # sum(grad(f) . v) = -sum(f div(v)) for v with zero normal trace.
+    # The inverse transforms are unnormalised: nx*ny times unit normals
+    # gives modes of about unit amplitude.
     rng = np.random.default_rng(11)
-    f = ScalarField(grid, cc_inv(rng.standard_normal((grid.ny, grid.nx))))
+    n = grid.nx * grid.ny
+    f = ScalarField(grid, cc_inv(n * rng.standard_normal((grid.ny, grid.nx))))
     v = VectorField(grid,
-                    sc_inv(rng.standard_normal((grid.ny, grid.nx))),
-                    cs_inv(rng.standard_normal((grid.ny, grid.nx))))
+                    sc_inv(n * rng.standard_normal((grid.ny, grid.nx))),
+                    cs_inv(n * rng.standard_normal((grid.ny, grid.nx))))
     g = gridops.gradient(f)
     lhs = np.sum(g.x * v.x + g.y * v.y)
     rhs = -np.sum(f.data * gridops.divergence(v).data)
@@ -115,16 +133,17 @@ def test_adjointness_gradient_divergence(grid):
 
 def test_helmholtz_idempotent_and_annihilates_gradients(unit_grid):
     rng = np.random.default_rng(5)
+    n = 64 * 64    # modes of about unit amplitude (unnormalised inverses)
     v = VectorField(unit_grid,
-                    sc_inv(rng.standard_normal((64, 64))),
-                    cs_inv(rng.standard_normal((64, 64))))
+                    sc_inv(n * rng.standard_normal((64, 64))),
+                    cs_inv(n * rng.standard_normal((64, 64))))
     w, _ = gridops.helmholtz_project(v)
     w2, q2 = gridops.helmholtz_project(w)
     assert np.max(np.abs(gridops.divergence(w).data)) < 1e-10
     assert np.max(np.abs(w2.x - w.x)) < 1e-10
     assert np.max(np.abs(q2.data)) < 1e-10
 
-    f = ScalarField(unit_grid, cc_inv(rng.standard_normal((64, 64))))
+    f = ScalarField(unit_grid, cc_inv(n * rng.standard_normal((64, 64))))
     g = gridops.gradient(f)
     pg, _ = gridops.helmholtz_project(g)
     assert np.max(np.abs(pg.x)) < 1e-9
@@ -153,7 +172,10 @@ def test_laplacian_eigenvalue_property(k, l, L):
     assert np.max(np.abs(out.data - lam * f)) < 1e-9 * (1 + lam)
 
 
-def test_threads_setting_roundtrip():
+def test_threads_setting_roundtrip(monkeypatch):
+    # Restore the worker count afterwards so later tests see the default.
+    monkeypatch.setattr(gridops, "_workers", gridops._workers)
     gridops.set_num_threads(2)
-    assert gridops._w() == 2
+    assert gridops._workers == 2
     gridops.set_num_threads(0)
+    assert gridops._workers == os.cpu_count()
