@@ -7,6 +7,7 @@ import os
 import sys
 
 from . import driver
+from . import grid as gridops
 from .errors import (ChdfError, NonConvergence, BoundViolation, MeanNotZero,
                      OutOfDomain, ParseError, SnapshotFormatError,
                      StepTooLarge, UnknownPreset, ValidationError)
@@ -38,8 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     threads = os.environ.get("CHDF_THREADS", "0")
+    saved = gridops._workers
     try:
-        from . import grid as gridops
         gridops.set_num_threads(int(threads))
     except ValueError:
         print(f"chdf: invalid CHDF_THREADS value {threads!r}", file=sys.stderr)
@@ -64,6 +65,8 @@ def main(argv=None) -> int:
     except (OSError, SnapshotFormatError) as exc:
         print(f"chdf: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        gridops._workers = saved
 
 
 if __name__ == "__main__":

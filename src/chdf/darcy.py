@@ -1,8 +1,10 @@
 """Velocity-pressure subproblem with linear plus superlinear drag.
 
-Once the pressure gradient is known, the momentum balance decouples into a
-scalar monotone root problem per cell (the drag law is radial).  An
-Uzawa-style pressure correction then drives the divergence to zero.
+The drag nu u + eta |u|^(r-2) u is the gradient of a convex pointwise
+density, so the velocity is the solenoidal zero of the Helmholtz-projected
+momentum residual.  It is found by Newton-Krylov on solenoidal fields,
+starting from the per-cell radial root of the projected forcing; the
+pressure is the potential part of the residual's projection.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .grid import ScalarField, VectorField
 from .model import ModelParams
 
 _MAX_ROOT_ITER = 200
+_MAX_NEWTON = 50
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,6 @@ class VelocitySolveReport:
     outer_iterations: int
     final_div_residual: float
     final_momentum_residual: float
-    pointwise_root_max_residual: float
 
 
 def _radial_roots(c1: np.ndarray, c2: np.ndarray, r: float, gmag: np.ndarray) -> np.ndarray:
@@ -71,91 +73,73 @@ def velocity_solve(
     h: float,
     params: ModelParams,
     tol: float = 1e-10,
-    max_outer: int = 500,
-    pi0: ScalarField | None = None,
 ) -> tuple[VectorField, ScalarField, VelocitySolveReport]:
     """Solve a/h (u - u_prev) + nu u + eta |u|^(r-2) u + grad(pi) = force.
 
-    Returns u with zero normal trace by construction, max-norm divergence
-    below tol, mean-zero pi, and the pointwise momentum law satisfied to
-    the root tolerance.
+    With c1 = a/h + nu, f = force + (a/h) u_prev and P the Helmholtz
+    projection, u is the solenoidal field with P((c1 + k) u - f) = 0,
+    k = eta |u|^(r-2).  Newton-Krylov on solenoidal fields: the start is P
+    of the pointwise radial root along Pf, each linear solve uses the exact
+    drag Jacobian (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, and the
+    iteration stops once max|R| <= tol (1 + max|f|) for the projected
+    residual R.  pi is minus the potential part of that residual, so u has
+    zero normal trace and round-off divergence, and pi has zero mean.
     """
     grid = u_prev.grid
     if h <= 0:
         raise ValueError("time step must be positive")
-    shape = (grid.ny, grid.nx)
-    nu = params.nu_const
     eta = params.eta_const
     r = params.r
     inertia = params.alpha / h
-    c1 = inertia + nu
-
+    c1 = inertia + params.nu_const
     fx = force.x + inertia * u_prev.x
     fy = force.y + inertia * u_prev.y
-    scale = 1.0 + float(np.max(np.hypot(fx, fy)))
+    bound = tol * (1.0 + float(np.max(np.hypot(fx, fy))))
 
-    pi = np.zeros(shape) if pi0 is None else pi0.data - pi0.data.mean()
-    ux = np.zeros(shape)
-    uy = np.zeros(shape)
-    div_res = np.inf
-    root_res = 0.0
-    n = grid.nx * grid.ny
-    for it in range(1, max_outer + 1):
-        gp = gridops.gradient(ScalarField(grid, pi))
-        gx = fx - gp.x
-        gy = fy - gp.y
-        gmag = np.hypot(gx, gy)
-        m = _radial_roots(c1, eta, r, gmag)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            inv = np.where(gmag > 0, 1.0 / np.where(gmag > 0, gmag, 1.0), 0.0)
-        ux = m * gx * inv
-        uy = m * gy * inv
-        root_res = float(np.max(np.abs(c1 * m + eta * m ** (r - 1) - gmag)))
+    pf = gridops.project_velocity(VectorField(grid, fx, fy))
+    gmag = np.hypot(pf.x, pf.y)
+    m = _radial_roots(c1, eta, r, gmag)
+    s = m / np.where(gmag > 0, gmag, 1.0)
+    u = gridops.project_velocity(VectorField(grid, s * pf.x, s * pf.y))
 
-        u = VectorField(grid, ux, uy)
-        div = gridops.divergence(u)
-        div_res = float(np.max(np.abs(div.data)))
-        if div_res <= tol * scale:
+    shape = (2, grid.ny, grid.nx)
+    n = 2 * grid.nx * grid.ny
+    for it in range(1, _MAX_NEWTON + 2):
+        mag = np.hypot(u.x, u.y)
+        k = eta * mag ** (r - 2)
+        R, p = gridops.helmholtz_project(
+            VectorField(grid, (c1 + k) * u.x - fx, (c1 + k) * u.y - fy))
+        res = float(np.max(np.hypot(R.x, R.y)))
+        if res <= bound:
             break
-
-        # Pressure correction: linearize the drag law along the forcing
-        # direction (sensitivity 1/gamma) and solve the variable-coefficient
-        # problem div((1/gamma) grad dpi) = div u, preconditioned by the
-        # constant-coefficient inverse Laplacian.
-        gamma = c1 + (r - 1) * eta * m ** (r - 2)
-        inv_gamma = 1.0 / gamma
-        gamma_bar = float(np.mean(gamma))
+        if it > _MAX_NEWTON:
+            raise NonConvergence(f"velocity solve: momentum residual {res:.3e} "
+                                 f"after {_MAX_NEWTON} Newton updates")
+        inv = 1.0 / np.where(mag > 0, mag, 1.0)
+        ex, ey = u.x * inv, u.y * inv
+        radial = (r - 2) * k
 
         def matvec(v):
-            vf = ScalarField(grid, v.reshape(shape) - v.reshape(shape).mean())
-            g = gridops.gradient(vf)
-            flux = VectorField(grid, inv_gamma * g.x, inv_gamma * g.y)
-            return -gridops.divergence(flux).data.ravel()
+            vx, vy = v.reshape(shape)
+            t = radial * (ex * vx + ey * vy)
+            jv = gridops.project_velocity(
+                VectorField(grid, (c1 + k) * vx + t * ex, (c1 + k) * vy + t * ey))
+            return np.concatenate((jv.x.ravel(), jv.y.ravel()))
 
-        def psolve(v):
-            return gamma_bar * gridops.inv_neg_lap(grid, v.reshape(shape)).ravel()
-
+        # Scalar preconditioner: the mean isotropic drag coefficient.
+        cbar = c1 + float(np.mean(k))
         A = LinearOperator((n, n), matvec=matvec)
-        M = LinearOperator((n, n), matvec=psolve)
-        rhs = -div.data.ravel()
-        sol, _ = lgmres(A, rhs, M=M, rtol=1e-3, atol=0.0, maxiter=50)
-        dpi = sol.reshape(shape)
-        pi = pi + (dpi - dpi.mean())
-    else:
-        raise NonConvergence(
-            f"velocity solve: divergence residual {div_res:.3e} after {max_outer} iterations"
-        )
+        M = LinearOperator((n, n), matvec=lambda v: v / cbar)
+        rhs = -np.concatenate((R.x.ravel(), R.y.ravel()))
+        du, _ = lgmres(A, rhs, M=M, rtol=1e-3, atol=0.0, maxiter=50)
+        dx, dy = du.reshape(shape)
+        u = VectorField(grid, u.x + dx, u.y + dy)
 
-    # Momentum residual re-evaluated from the returned fields.
-    gp = gridops.gradient(ScalarField(grid, pi))
-    umag = np.hypot(ux, uy)
-    rx = inertia * (ux - u_prev.x) + nu * ux + eta * umag ** (r - 2) * ux + gp.x - force.x
-    ry = inertia * (uy - u_prev.y) + nu * uy + eta * umag ** (r - 2) * uy + gp.y - force.y
-    mom_res = float(np.max(np.hypot(rx, ry)))
-
+    pi = -p.data
     pi -= pi.mean()
-    report = VelocitySolveReport(it, div_res, mom_res, root_res)
-    return VectorField(grid, ux, uy), ScalarField(grid, pi), report
+    div_res = float(np.max(np.abs(gridops.divergence(u).data)))
+    report = VelocitySolveReport(it, div_res, res)
+    return u, ScalarField(grid, pi), report
 
 
 def dissipation_integrands(u: VectorField, params: ModelParams) -> tuple[float, float]:

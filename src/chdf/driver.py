@@ -64,11 +64,7 @@ class RunConfig:
 _GRID_KEYS = {"nx": int, "ny": int, "Lx": float, "Ly": float}
 _TIME_KEYS = {"h": float, "t_end": float, "output_every": int}
 _MODEL_KEYS = {f.name: float for f in fields(ModelParams)}
-_TOL_KEYS = {
-    "newton_tol": float, "picard_tol": float, "energy_tol": float,
-    "velocity_tol": float, "max_newton": int, "max_picard": int,
-    "newton_damping_min": float,
-}
+_TOL_KEYS = {f.name: type(f.default) for f in fields(SolverTolerances)}
 _INITIAL_KEYS = {
     "preset": str, "mean_phi": float, "mean_psi": float, "amplitude": float,
     "width": float, "noise_amplitude": float, "phi_path": str,

@@ -6,7 +6,8 @@ the phase pair (phi, mu_phi_hat) then sees the new psi.  Each pair reduces
 to a single nonlinear equation for the zero-mean part of the order
 parameter, solved by `bounded_newton`: damped Newton with a
 transform-preconditioned Krylov linear solve, shared with the stationary
-solve in `diagnostics`.  A Picard loop closes the velocity coupling.
+solve in `diagnostics`.  A Picard loop closes the velocity coupling: the
+velocity comes from `darcy.velocity_solve`, solenoidal as returned.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class ChemicalPotentials:
     mu_psi: ScalarField
     mu_phi_hat: ScalarField
     mu_psi_hat: ScalarField
-    # Converged pressure, kept as a warm start for the next velocity solve.
-    pressure: ScalarField | None = None
 
 
 @dataclass
@@ -70,7 +69,6 @@ class StepReport:
     # The two parts of energy_after.
     energy_free: float
     kinetic: float
-    dissipation_h: float
     inequality_slack: float
     # The terms of the inequality, as the step evaluated them.
     dissipation_d2: float
@@ -79,7 +77,6 @@ class StepReport:
     grad_mu_psi_sq: float
     reaction_term: float
     mass_target_a: float
-    mass_target_b: float
     mass_achieved_phi: float
     mass_achieved_psi: float
     max_phi: float
@@ -363,11 +360,9 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
     if init_potentials is not None:
         mu_phi_hat = init_potentials.mu_phi_hat.data.copy()
         mu_psi_hat = init_potentials.mu_psi_hat.data.copy()
-        pi_warm = init_potentials.pressure
     else:
         mu_phi_hat = np.zeros((grid.ny, grid.nx))
         mu_psi_hat = np.zeros((grid.ny, grid.nx))
-        pi_warm = None
 
     phi = psi = None
     u = prev.u
@@ -380,12 +375,7 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
             -(prev.phi.data * gmp.x + prev.psi.data * gms.x),
             -(prev.phi.data * gmp.y + prev.psi.data * gms.y),
         )
-        u_raw, pi, _ = velocity_solve(prev.u, force, h, params, tol=tol.velocity_tol,
-                                      pi0=pi_warm)
-        pi_warm = pi
-        # Project so the transport velocity is solenoidal to machine
-        # precision; the change is within the velocity tolerance.
-        u = gridops.project_velocity(u_raw)
+        u, _, _ = velocity_solve(prev.u, force, h, params, tol=tol.velocity_tol)
 
         phi_new, psi_new, mph, mps, newton = ch_subsystem_solve(
             prev, u, targets, h, params, tol)
@@ -408,7 +398,6 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
     potentials = recover_physical_potentials(
         phi, psi, prev.phi, prev.psi,
         ScalarField(grid, mu_phi_hat), ScalarField(grid, mu_psi_hat), params)
-    potentials.pressure = pi_warm
     return u, phi, psi, potentials, picard_it, newton, targets
 
 
@@ -459,7 +448,6 @@ def coupled_time_step(
         energy_after=e_after,
         energy_free=energy_free,
         kinetic=kinetic,
-        dissipation_h=h_try * diss,
         inequality_slack=slack,
         dissipation_d2=d2,
         dissipation_dr=dr,
@@ -467,7 +455,6 @@ def coupled_time_step(
         grad_mu_psi_sq=grad_mu_psi_sq,
         reaction_term=reaction,
         mass_target_a=targets[0],
-        mass_target_b=targets[1],
         mass_achieved_phi=gridops.mean(phi),
         mass_achieved_psi=gridops.mean(psi),
         max_phi=float(np.max(phi.data)),

@@ -14,7 +14,8 @@ import numpy as np
 import chdf
 from chdf import diagnostics as diag
 from chdf import step
-from chdf.grid import Grid2D, ScalarField
+from chdf.darcy import velocity_solve
+from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -34,6 +35,22 @@ def test_tracer_targets_resolve():
         else:
             owner = importlib.import_module(f"chdf.{mod_name}")
         assert callable(getattr(owner, attr, None)), f"{mod_name}.{attr}"
+
+
+def test_tracer_notes_read_the_reports():
+    notes = _tracing_module().NOTES
+    grid = Grid2D(16, 16, 1.0, 1.0)
+    X, Y = grid.cell_centers()
+    force = VectorField(grid, np.sin(np.pi * X) * np.cos(np.pi * Y),
+                        -np.cos(np.pi * X) * np.sin(np.pi * Y))
+    zero = VectorField.zero(grid)
+    args = (zero, force, 1e-3, ModelParams())
+    assert type(notes["darcy.solve"](args, velocity_solve(*args))) is int
+    pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
+    prev = step.State(zero, ScalarField(grid, pert), ScalarField(grid, 0.5 - pert))
+    args = (prev, 1e-3, ModelParams(), step.SolverTolerances())
+    counts = notes["step.step"](args, step.coupled_time_step(*args))
+    assert len(counts) == 4 and all(type(c) is int for c in counts)
 
 
 def test_stationary_solve_calls_krylov_once_per_update(monkeypatch):

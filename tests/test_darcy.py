@@ -91,8 +91,26 @@ def test_momentum_residual_reported_small(grid):
     u, pi, report = velocity_solve(VectorField.zero(grid), force, 1e-2, params)
     scale = 1.0 + np.max(np.hypot(force.x, force.y))
     assert report.final_momentum_residual < 1e-7 * scale
-    assert report.pointwise_root_max_residual < 1e-10 * scale
+    assert report.final_div_residual < 1e-10 * scale
     assert abs(pi.data.mean()) < 1e-13
+
+
+def test_strong_drag_solves_to_round_off(grid):
+    # Steep or heavy drag, checked on the returned fields themselves.
+    rng = np.random.default_rng(2)
+    from chdf.grid import cs_inv, sc_inv
+    n = 32 * 32    # modes of about unit amplitude (unnormalised inverses)
+    force = VectorField(grid, sc_inv(n * rng.standard_normal((32, 32))),
+                        cs_inv(n * rng.standard_normal((32, 32))))
+    scale = 1.0 + np.max(np.hypot(force.x, force.y))
+    for r, eta in ((4.0, 1.0), (6.0, 1.0), (3.0, 100.0)):
+        params = ModelParams(alpha=0.0, r=r, eta_const=eta)
+        u, pi, _ = velocity_solve(VectorField.zero(grid), force, 0.1, params)
+        drag = params.nu_const + eta * np.hypot(u.x, u.y) ** (r - 2)
+        gp = gridops.gradient(pi)
+        res = np.hypot(drag * u.x + gp.x - force.x, drag * u.y + gp.y - force.y)
+        assert np.max(res) < 1e-10 * scale, (r, eta)
+        assert np.max(np.abs(gridops.divergence(u).data)) < 1e-10 * scale, (r, eta)
 
 
 def test_drag_decay_with_inertia(grid):

@@ -18,12 +18,6 @@ def grid():
     return Grid2D(16, 16, 1.0, 1.0)
 
 
-@pytest.fixture(autouse=True)
-def _keep_thread_setting(monkeypatch):
-    # cli.main sets the transform worker count from CHDF_THREADS; restore it.
-    monkeypatch.setattr(gridops, "_workers", gridops._workers)
-
-
 def _write(path, text):
     path.write_text(text)
     return str(path)
@@ -327,7 +321,10 @@ def test_cli_threads_env(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path / "c.cfg", MINIMAL)
     monkeypatch.setenv("CHDF_THREADS", "1")
     out = tmp_path / "o"
+    monkeypatch.setattr(gridops, "_workers", None)
     assert cli.main(["run", cfg_path, "--output-dir", str(out)]) == 0
+    # The setting holds for the call only.
+    assert gridops._workers is None
     for bad in ("soon", "-3"):
         monkeypatch.setenv("CHDF_THREADS", bad)
         assert cli.main(["run", cfg_path]) == cli.EXIT_VALIDATION
