@@ -3,8 +3,9 @@
 The drag nu u + eta |u|^(r-2) u is the gradient of a convex pointwise
 density, so the velocity is the solenoidal zero of the Helmholtz-projected
 momentum residual.  It is found by Newton-Krylov on solenoidal fields,
-starting from the per-cell radial root of the projected forcing; the
-pressure is the potential part of the residual's projection.
+starting from the per-cell radial root of the projected forcing or from a
+solenoidal start the caller passes; the pressure is the potential part of
+the residual's projection.
 """
 
 from __future__ import annotations
@@ -73,14 +74,17 @@ def velocity_solve(
     h: float,
     params: ModelParams,
     tol: float = 1e-10,
+    *,
+    start: VectorField | None = None,
 ) -> tuple[VectorField, ScalarField, VelocitySolveReport]:
     """Solve a/h (u - u_prev) + nu u + eta |u|^(r-2) u + grad(pi) = force.
 
     With c1 = a/h + nu, f = force + (a/h) u_prev and P the Helmholtz
     projection, u is the solenoidal field with P((c1 + k) u - f) = 0,
     k = eta |u|^(r-2).  Newton-Krylov on solenoidal fields: the start is P
-    of the pointwise radial root along Pf, each linear solve uses the exact
-    drag Jacobian (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, and the
+    of the pointwise radial root along Pf, or start when given (it must be
+    solenoidal, as a returned u is), each linear solve uses the exact drag
+    Jacobian (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, and the
     iteration stops once max|R| <= tol (1 + max|f|) for the projected
     residual R.  pi is minus the potential part of that residual, so u has
     zero normal trace and round-off divergence, and pi has zero mean.
@@ -96,11 +100,14 @@ def velocity_solve(
     fy = force.y + inertia * u_prev.y
     bound = tol * (1.0 + float(np.max(np.hypot(fx, fy))))
 
-    pf = gridops.project_velocity(VectorField(grid, fx, fy))
-    gmag = np.hypot(pf.x, pf.y)
-    m = _radial_roots(c1, eta, r, gmag)
-    s = m / np.where(gmag > 0, gmag, 1.0)
-    u = gridops.project_velocity(VectorField(grid, s * pf.x, s * pf.y))
+    if start is not None:
+        u = start
+    else:
+        pf = gridops.project_velocity(VectorField(grid, fx, fy))
+        gmag = np.hypot(pf.x, pf.y)
+        m = _radial_roots(c1, eta, r, gmag)
+        s = m / np.where(gmag > 0, gmag, 1.0)
+        u = gridops.project_velocity(VectorField(grid, s * pf.x, s * pf.y))
 
     shape = (2, grid.ny, grid.nx)
     n = 2 * grid.nx * grid.ny

@@ -334,15 +334,18 @@ def run(cfg: RunConfig, perturb_hook=None) -> int:
     psi_mean_0 = gridops.mean(state.psi)
     n_steps = int(round(cfg.t_end / cfg.h))
     potentials: ChemicalPotentials | None = None
+    energy = e0
     try:
         for k in range(n_steps):
             try:
                 state, potentials, report = coupled_time_step(
-                    state, cfg.h, params, tol, potentials)
+                    state, cfg.h, params, tol, potentials, energy_before=energy)
             except (NonConvergence, StepTooLarge) as exc:
                 raise type(exc)(f"step {k}: {exc}") from exc
+            energy = report.energy_after
             if perturb_hook is not None:
                 perturb_hook(k, state)
+                energy = None   # the hook may have changed the state
                 report.mass_achieved_phi = gridops.mean(state.phi)
                 report.mass_achieved_psi = gridops.mean(state.psi)
             row = diag.build_ledger_row(state, report, params)

@@ -7,7 +7,10 @@ to a single nonlinear equation for the zero-mean part of the order
 parameter, solved by `bounded_newton`: damped Newton with a
 transform-preconditioned Krylov linear solve, shared with the stationary
 solve in `diagnostics`.  A Picard loop closes the velocity coupling: the
-velocity comes from `darcy.velocity_solve`, solenoidal as returned.
+velocity comes from `darcy.velocity_solve`, solenoidal as returned.  From
+the second Picard iteration on, the velocity, psi and phi solves start from
+the previous iterate, which already solves the same equations with the same
+mean targets up to the Picard change.
 """
 
 from __future__ import annotations
@@ -62,8 +65,11 @@ class ChemicalPotentials:
 @dataclass
 class StepReport:
     picard_iterations: int
+    # Largest per-solve counts over the step's Picard iterations: the
+    # residual evaluations max_newton caps, and the velocity outer_iterations.
     newton_iterations_phi: int
     newton_iterations_psi: int
+    velocity_iterations: int
     energy_before: float
     energy_after: float
     # The two parts of energy_after.
@@ -237,7 +243,7 @@ def _mu_hat(grid, x, x_prev, source, h, mobility):
 
 
 def _solve_psi(grid, psi_prev, phi_prev, conv_psi, b, h, params: ModelParams,
-               tol: SolverTolerances) -> tuple[np.ndarray, np.ndarray, int]:
+               tol: SolverTolerances, start=None) -> tuple[np.ndarray, np.ndarray, int]:
     mpsi = params.m_psi_const
 
     def residual(x):
@@ -253,8 +259,10 @@ def _solve_psi(grid, psi_prev, phi_prev, conv_psi, b, h, params: ModelParams,
         return mdl.f_psi(x[0], params.theta_psi)[2][None, None]
 
     symbol = params.beta * grid.lam + grid.inv_lam / (mpsi * h)
+    if start is None:
+        start = psi_prev + (b - psi_prev.mean())
     x, iters = bounded_newton(
-        (psi_prev + (b - psi_prev.mean()))[None], residual, jacobian_coef,
+        start[None], residual, jacobian_coef,
         symbol[None], [(0.0, 1.0)], [b], tol.newton_tol, tol.max_newton,
         tol.newton_damping_min, label="psi Newton")
     psi = x[0]
@@ -262,7 +270,7 @@ def _solve_psi(grid, psi_prev, phi_prev, conv_psi, b, h, params: ModelParams,
 
 
 def _solve_phi(grid, phi_prev, psi_new, conv_phi, reac, a, h, params: ModelParams,
-               tol: SolverTolerances) -> tuple[np.ndarray, np.ndarray, int]:
+               tol: SolverTolerances, start=None) -> tuple[np.ndarray, np.ndarray, int]:
     mphi = params.m_phi_const
     sig2 = params.sigma2
     source = conv_phi + reac
@@ -283,8 +291,10 @@ def _solve_phi(grid, phi_prev, psi_new, conv_phi, reac, a, h, params: ModelParam
         return (fpp + gp)[None, None]
 
     symbol = grid.lam + (1.0 / (mphi * h) + sig2) * grid.inv_lam
+    if start is None:
+        start = phi_prev + (a - phi_prev.mean())
     x, iters = bounded_newton(
-        (phi_prev + (a - phi_prev.mean()))[None], residual, jacobian_coef,
+        start[None], residual, jacobian_coef,
         symbol[None], [(-1.0, 1.0)], [a], tol.newton_tol, tol.max_newton,
         tol.newton_damping_min, label="phi Newton")
     phi = x[0]
@@ -298,11 +308,15 @@ def ch_subsystem_solve(
     h: float,
     params: ModelParams,
     tol: SolverTolerances,
+    start: tuple[ScalarField, ScalarField] | None = None,
 ) -> tuple[ScalarField, ScalarField, ScalarField, ScalarField, NewtonReport]:
     """Solve the two order-parameter pairs with the velocity frozen.
 
     Returns (phi, psi, mu_phi_hat, mu_psi_hat, report); means of phi, psi
-    equal the targets exactly and the mu_hat fields are zero-mean.
+    equal the targets exactly and the mu_hat fields are zero-mean.  The
+    Newton solves start from prev shifted to the targets, or from
+    start = (phi, psi), which must lie strictly inside the bounds with the
+    target means (a previous return value does).
     """
     grid = prev.phi.grid
     a, b = targets
@@ -311,10 +325,11 @@ def ch_subsystem_solve(
     conv_phi = _convective(u, prev.phi)
     conv_psi = _convective(u, prev.psi)
 
+    phi0, psi0 = (None, None) if start is None else (start[0].data, start[1].data)
     psi, mu_psi_hat, it_psi = _solve_psi(grid, prev.psi.data, prev.phi.data,
-                                         conv_psi, b, h, params, tol)
+                                         conv_psi, b, h, params, tol, psi0)
     phi, mu_phi_hat, it_phi = _solve_phi(grid, prev.phi.data, psi, conv_phi,
-                                         reac, a, h, params, tol)
+                                         reac, a, h, params, tol, phi0)
     report = NewtonReport(iterations_phi=it_phi, iterations_psi=it_psi)
     return (
         ScalarField(grid, phi),
@@ -364,9 +379,10 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
         mu_phi_hat = np.zeros((grid.ny, grid.nx))
         mu_psi_hat = np.zeros((grid.ny, grid.nx))
 
-    phi = psi = None
-    u = prev.u
+    # The previous Picard iterate starts the inner solves once there is one.
+    phi = psi = u = None
     newton = NewtonReport()
+    velocity_its = 0
     for picard_it in range(1, tol.max_picard + 1):
         gmp = gridops.gradient(ScalarField(grid, mu_phi_hat))
         gms = gridops.gradient(ScalarField(grid, mu_psi_hat))
@@ -375,10 +391,15 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
             -(prev.phi.data * gmp.x + prev.psi.data * gms.x),
             -(prev.phi.data * gmp.y + prev.psi.data * gms.y),
         )
-        u, _, _ = velocity_solve(prev.u, force, h, params, tol=tol.velocity_tol)
+        u, _, vel = velocity_solve(prev.u, force, h, params, tol=tol.velocity_tol,
+                                   start=u)
+        velocity_its = max(velocity_its, vel.outer_iterations)
 
-        phi_new, psi_new, mph, mps, newton = ch_subsystem_solve(
-            prev, u, targets, h, params, tol)
+        phi_new, psi_new, mph, mps, its = ch_subsystem_solve(
+            prev, u, targets, h, params, tol,
+            start=None if phi is None else (phi, psi))
+        newton.iterations_phi = max(newton.iterations_phi, its.iterations_phi)
+        newton.iterations_psi = max(newton.iterations_psi, its.iterations_psi)
 
         change = max(
             float(np.max(np.abs(mph.data - mu_phi_hat))),
@@ -398,7 +419,7 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
     potentials = recover_physical_potentials(
         phi, psi, prev.phi, prev.psi,
         ScalarField(grid, mu_phi_hat), ScalarField(grid, mu_psi_hat), params)
-    return u, phi, psi, potentials, picard_it, newton, targets
+    return u, phi, psi, potentials, picard_it, newton, velocity_its, targets
 
 
 def coupled_time_step(
@@ -407,13 +428,18 @@ def coupled_time_step(
     params: ModelParams,
     tol: SolverTolerances,
     init_potentials: ChemicalPotentials | None = None,
+    energy_before: float | None = None,
 ) -> tuple[State, ChemicalPotentials, StepReport]:
-    """Advance one step; on a Picard stall, halve h up to five times."""
+    """Advance one step; on a Picard stall, halve h up to five times.
+
+    energy_before is total_energy(prev) when the caller already has it (the
+    previous step's energy_after); it is computed when omitted.
+    """
     halvings = 0
     h_try = h
     while True:
         try:
-            (u, phi, psi, potentials, picard_it, newton,
+            (u, phi, psi, potentials, picard_it, newton, velocity_its,
              targets) = _attempt_step(prev, h_try, params, tol, init_potentials)
             break
         except PicardStall:
@@ -424,7 +450,8 @@ def coupled_time_step(
 
     next_state = State(u, phi, psi, prev.time + h_try, prev.step_index + 1)
 
-    e_before = mdl.total_energy(prev, params)
+    e_before = (mdl.total_energy(prev, params) if energy_before is None
+                else energy_before)
     # The sum total_energy forms, with its parts kept for the ledger.
     kinetic = mdl.kinetic_energy(u, params)
     energy_free = mdl.free_energy(phi, psi, params)
@@ -444,6 +471,7 @@ def coupled_time_step(
         picard_iterations=picard_it,
         newton_iterations_phi=newton.iterations_phi,
         newton_iterations_psi=newton.iterations_psi,
+        velocity_iterations=velocity_its,
         energy_before=e_before,
         energy_after=e_after,
         energy_free=energy_free,

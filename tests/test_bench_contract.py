@@ -49,8 +49,10 @@ def test_tracer_notes_read_the_reports():
     pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
     prev = step.State(zero, ScalarField(grid, pert), ScalarField(grid, 0.5 - pert))
     args = (prev, 1e-3, ModelParams(), step.SolverTolerances())
-    counts = notes["step.step"](args, step.coupled_time_step(*args))
+    result = step.coupled_time_step(*args)
+    counts = notes["step.step"](args, result)
     assert len(counts) == 4 and all(type(c) is int for c in counts)
+    assert type(result[2].velocity_iterations) is int
 
 
 def test_stationary_solve_calls_krylov_once_per_update(monkeypatch):

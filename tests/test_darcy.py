@@ -103,14 +103,22 @@ def test_strong_drag_solves_to_round_off(grid):
     force = VectorField(grid, sc_inv(n * rng.standard_normal((32, 32))),
                         cs_inv(n * rng.standard_normal((32, 32))))
     scale = 1.0 + np.max(np.hypot(force.x, force.y))
+    zero = VectorField.zero(grid)
     for r, eta in ((4.0, 1.0), (6.0, 1.0), (3.0, 100.0)):
         params = ModelParams(alpha=0.0, r=r, eta_const=eta)
-        u, pi, _ = velocity_solve(VectorField.zero(grid), force, 0.1, params)
-        drag = params.nu_const + eta * np.hypot(u.x, u.y) ** (r - 2)
-        gp = gridops.gradient(pi)
-        res = np.hypot(drag * u.x + gp.x - force.x, drag * u.y + gp.y - force.y)
-        assert np.max(res) < 1e-10 * scale, (r, eta)
-        assert np.max(np.abs(gridops.divergence(u).data)) < 1e-10 * scale, (r, eta)
+        cold = velocity_solve(zero, force, 0.1, params)
+        u = cold[0]
+        # Started at its own solution the solve stops at the first residual.
+        _, _, report = velocity_solve(zero, force, 0.1, params, start=u)
+        assert report.outer_iterations == 1, (r, eta)
+        far = velocity_solve(zero, force, 0.1, params,
+                             start=VectorField(grid, 100.0 * u.x, 100.0 * u.y))
+        for case, (u, pi, _) in (("cold", cold), ("far", far)):
+            drag = params.nu_const + eta * np.hypot(u.x, u.y) ** (r - 2)
+            gp = gridops.gradient(pi)
+            res = np.hypot(drag * u.x + gp.x - force.x, drag * u.y + gp.y - force.y)
+            assert np.max(res) < 1e-10 * scale, (r, eta, case)
+            assert np.max(np.abs(gridops.divergence(u).data)) < 1e-10 * scale, (r, eta, case)
 
 
 def test_drag_decay_with_inertia(grid):

@@ -7,6 +7,7 @@ import pytest
 
 from chdf import cli, driver
 from chdf import grid as gridops
+from chdf import model as mdl
 from chdf.errors import (BoundViolation, ParseError, SnapshotFormatError,
                          StepTooLarge, UnknownPreset, ValidationError)
 from chdf.grid import Grid2D, ScalarField
@@ -265,6 +266,49 @@ def test_run_abort_on_injected_violation(tmp_path):
     assert "step 4" in str(exc.value)
     rows = driver.read_ledger(os.path.join(cfg.output_dir, cfg.series))
     assert len(rows) == 4   # the offending diagnostic row is the last one
+
+
+def test_run_reuses_each_step_energy_unless_hooked(tmp_path, monkeypatch):
+    # A step's energy_after is the next step's energy_before, so a run
+    # evaluates the total energy once; after a hook, which may change the
+    # state, it evaluates it again.  The reuse moves no ledger byte.
+    text = """
+[grid]
+nx = 16
+ny = 16
+
+[time]
+h = 1e-3
+t_end = 0.005
+
+[model]
+w = 1.0
+theta_c = 2.0
+
+[initial]
+preset = stripe
+amplitude = 0.8
+width = 0.1
+"""
+    calls = []
+    total_energy = mdl.total_energy
+
+    def counted(*args):
+        calls.append(args)
+        return total_energy(*args)
+
+    monkeypatch.setattr(mdl, "total_energy", counted)
+    ledgers = []
+    for name, hook, evaluations in (("a", None, 1),
+                                    ("b", lambda k, state: None, 5)):
+        out = tmp_path / name
+        cfg = driver.load_config(_write(
+            tmp_path / f"{name}.cfg", text + f"\n[output]\ndirectory = {out}\n"))
+        calls.clear()
+        assert driver.run(cfg, perturb_hook=hook) == 0
+        assert len(calls) == evaluations
+        ledgers.append(open(os.path.join(cfg.output_dir, cfg.series), "rb").read())
+    assert ledgers[0] == ledgers[1]
 
 
 def test_run_names_step_on_solver_failure(tmp_path):

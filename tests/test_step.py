@@ -11,8 +11,9 @@ from chdf.errors import StepTooLarge
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
 from chdf.grid import inv_neg_lap, neg_lap
+from chdf import step
 from chdf.step import (SolverTolerances, State, _damped_update, _p0,
-                       coupled_time_step, mean_targets)
+                       ch_subsystem_solve, coupled_time_step, mean_targets)
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +169,73 @@ def test_newton_cap_admits_the_final_update(grid):
     assert np.array_equal(nxt2.phi.data, nxt.phi.data)
     assert np.array_equal(nxt2.psi.data, nxt.psi.data)
     assert report2.newton_iterations_phi == report.newton_iterations_phi
+
+
+def _band_state(grid, seed=1, modes=4):
+    """Separated phases from band-limited cosine noise: transport is active."""
+    rng = np.random.default_rng(seed)
+    x = grid.cell_centers()[0][0]
+    basis = np.cos(np.pi * np.arange(modes + 1)[:, None] * x[None, :] / grid.Lx)
+
+    def noise():
+        coeff = rng.standard_normal((modes + 1, modes + 1))
+        coeff[0, 0] = 0.0
+        n = basis.T @ coeff @ basis
+        return (n - n.mean()) / np.max(np.abs(n - n.mean()))
+
+    phi = 0.9 * np.tanh(3.0 * noise())
+    return State(VectorField.zero(grid), ScalarField(grid, phi - phi.mean()),
+                 ScalarField(grid, 0.5 + 0.2 * noise()))
+
+
+def test_picard_iterations_start_from_the_previous_iterate(monkeypatch):
+    grid = Grid2D(32, 32, 16.0, 16.0)
+    state = _band_state(grid)
+    params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
+    tol = SolverTolerances()
+    h = 0.1
+    keys = ("velocity", "psi Newton", "phi Newton")
+    starts = {key: [] for key in keys}
+    ends = {key: [] for key in keys}
+    counts = {key: [] for key in keys}
+    newton, velocity = step.bounded_newton, step.velocity_solve
+
+    def spied_newton(x, *args, label, **kwargs):
+        starts[label].append(np.array(x[0]))
+        out = newton(x, *args, label=label, **kwargs)
+        ends[label].append(out[0][0].copy())
+        counts[label].append(out[1])
+        return out
+
+    def spied_velocity(*args, start=None, **kwargs):
+        starts["velocity"].append(start)
+        out = velocity(*args, start=start, **kwargs)
+        ends["velocity"].append(out[0])
+        counts["velocity"].append(out[2].outer_iterations)
+        return out
+
+    monkeypatch.setattr(step, "bounded_newton", spied_newton)
+    monkeypatch.setattr(step, "velocity_solve", spied_velocity)
+    nxt, _, report = coupled_time_step(state, h, params, tol)
+    monkeypatch.undo()
+
+    n = report.picard_iterations
+    assert n >= 3
+    assert all(len(starts[key]) == n for key in keys)
+    assert starts["velocity"][0] is None
+    for k in range(1, n):
+        assert starts["velocity"][k] is ends["velocity"][k - 1]
+        for key in keys[1:]:
+            assert np.array_equal(starts[key][k], ends[key][k - 1]), (key, k)
+    assert report.velocity_iterations == max(counts["velocity"])
+    assert report.newton_iterations_psi == max(counts["psi Newton"])
+    assert report.newton_iterations_phi == max(counts["phi Newton"])
+
+    # The warm-started step agrees with a cold solve on its own velocity.
+    targets = mean_targets(state.phi, state.psi, h, params)
+    phi, psi, _, _, _ = ch_subsystem_solve(state, nxt.u, targets, h, params, tol)
+    assert np.max(np.abs(phi.data - nxt.phi.data)) <= 1e-10
+    assert np.max(np.abs(psi.data - nxt.psi.data)) <= 1e-10
 
 
 def test_step_report_fields_consistent(grid):
