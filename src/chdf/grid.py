@@ -173,15 +173,18 @@ class VectorField:
 # derivative maps below act on coefficients as they would on amplitudes.
 # With nx and ny powers of two these factors are powers of two, which scale
 # a float exactly: every operator gives the bits it would give on amplitude
-# coefficients.
+# coefficients.  The cc pair also takes norm="ortho", scipy's orthonormal
+# scaling: that pair is an isometry, so a Krylov solve on the coefficients
+# of a correction (step.bounded_newton) measures its residual norms and
+# tolerance exactly as it would on the field.
 # ---------------------------------------------------------------------------
 
-def cc_fwd(f: np.ndarray) -> np.ndarray:
-    return dctn(f, 2, axes=(-1, -2), workers=_workers)
+def cc_fwd(f: np.ndarray, norm: str | None = None) -> np.ndarray:
+    return dctn(f, 2, axes=(-1, -2), norm=norm, workers=_workers)
 
 
-def cc_inv(c: np.ndarray) -> np.ndarray:
-    return idctn(c, 2, axes=(-1, -2), workers=_workers)
+def cc_inv(c: np.ndarray, norm: str | None = None) -> np.ndarray:
+    return idctn(c, 2, axes=(-1, -2), norm=norm, workers=_workers)
 
 
 def sc_fwd(f: np.ndarray) -> np.ndarray:

@@ -4,13 +4,16 @@ Structure of the discrete equations: the surfactant pair (psi, mu_psi_hat)
 closes on its own because its coupling secant freezes phi at the old step;
 the phase pair (phi, mu_phi_hat) then sees the new psi.  Each pair reduces
 to a single nonlinear equation for the zero-mean part of the order
-parameter, solved by `bounded_newton`: damped Newton with a
-transform-preconditioned Krylov linear solve, shared with the stationary
-solve in `diagnostics`.  A Picard loop closes the velocity coupling: the
-velocity comes from `darcy.velocity_solve`, solenoidal as returned.  From
-the second Picard iteration on, the velocity, psi and phi solves start from
-the previous iterate, which already solves the same equations with the same
-mean targets up to the Picard change.
+parameter, with a fused residual: one cosine symbol applied to the unknown,
+a coefficient constant fixed for the solve, and a pointwise term.
+`bounded_newton` solves it by damped Newton, its Krylov linear solve
+running on the orthonormal cosine coefficients of the correction with a
+diagonal preconditioner; the stationary solve in `diagnostics` shares it.
+A Picard loop closes the velocity coupling: the velocity comes from
+`darcy.velocity_solve`, solenoidal as returned.  From the second Picard
+iteration on, the velocity, psi and phi solves start from the previous
+iterate, which already solves the same equations with the same mean
+targets up to the Picard change.
 """
 
 from __future__ import annotations
@@ -186,7 +189,7 @@ def _krylov_solve(op_matvec, precond_matvec, rhs: np.ndarray, shape, tol: float)
         return np.zeros(shape)
     sol, info = lgmres(A, rhs.ravel(), M=M, rtol=1e-8, atol=tol, maxiter=200)
     if info != 0:
-        raise NewtonDivergence("inner linear solve failed to converge")
+        raise NewtonDivergence(f"inner linear solve failed to converge (lgmres info {info})")
     return sol.reshape(shape)
 
 
@@ -202,9 +205,13 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
 
     symbol[i] being diagonal in the cosine basis (zero on the constant
     mode) and C = jacobian_coef(x) a pointwise (k, k, ny, nx) coefficient.
-    The linear solve is preconditioned by 1/(symbol[i] + mean(C_ii)).  Up to
-    max_newton updates are taken, stopping once max|residual(x)| <= tol.
-    Returns (x, number of residual evaluations).
+    The linear solve runs on the orthonormal cosine coefficients c of the
+    correction, where J is symbol*c + P0 cc_fwd(C cc_inv(c)), two transforms
+    per application, and the preconditioner is the diagonal
+    1/(symbol[i] + mean(C_ii)).  The transform pair is an isometry, so the
+    Krylov norms and tolerance are those of the field.  Up to max_newton
+    updates are taken, stopping once max|residual(x)| <= tol.  Returns
+    (x, number of residual evaluations).
     """
     x = np.array(x, dtype=float)
     for it in range(1, max_newton + 2):
@@ -220,14 +227,23 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
         prec = 1.0 / (symbol + np.array(cbar)[:, None, None])
         prec[:, 0, 0] = 0.0
 
-        def matvec(v):
-            v = _p0(v)
-            return cc_inv(cc_fwd(v) * symbol) + _p0(np.sum(C * v[None], axis=1))
+        def matvec(c):
+            # Zeroing the (0, 0) coefficient is P0 on the field.
+            c = c.copy()
+            c[:, 0, 0] = 0.0
+            out = cc_fwd(np.sum(C * cc_inv(c, norm="ortho")[None], axis=1), norm="ortho")
+            out[:, 0, 0] = 0.0
+            return symbol * c + out
 
-        def precond(v):
-            return cc_inv(cc_fwd(v) * prec)
+        def precond(c):
+            return c * prec
 
-        delta = krylov(matvec, precond, -R, x.shape, 0.01 * tol)
+        try:
+            sol = krylov(matvec, precond, cc_fwd(-R, norm="ortho"), x.shape, 0.01 * tol)
+        except NewtonDivergence as exc:
+            raise NewtonDivergence(f"{label} update {it}: {exc}; residual "
+                                   f"{res:.3e}") from exc
+        delta = cc_inv(sol, norm="ortho")
         for i, (lo, hi) in enumerate(boxes):
             x[i], _ = _damped_update(x[i], _p0(delta[i]), lo, hi, damping_min)
             x[i] += means[i] - x[i].mean()
@@ -237,68 +253,68 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
 # Cahn-Hilliard subsystem (velocity frozen)
 # ---------------------------------------------------------------------------
 
-def _mu_hat(grid, x, x_prev, source, h, mobility):
-    """Zero-mean potential from the discrete flux law (x - x_prev)/h + source."""
-    return -gridops.inv_neg_lap(grid, (x - x_prev) / h + source) / mobility
+def _ch_solve(grid, x_prev, source, h, mobility, symbol, pointwise, pointwise_coef,
+              box, target, tol: SolverTolerances, start,
+              label) -> tuple[np.ndarray, np.ndarray, int]:
+    """Solve one order-parameter pair; return (x, mu_hat, Newton iterations).
+
+    mu_hat is the zero-mean potential of the discrete flux law
+    (x - x_prev)/h + source = -mobility A_N mu_hat, A_N = -Laplacian, so in
+    cosine coefficients -mu_hat = inv_lam x/(mobility h) + k_hat with k_hat
+    fixed for the solve.  The residual is symbol x + P0 pointwise(x) - mu_hat,
+    where symbol includes that inv_lam term: one transform pair per
+    evaluation.  pointwise_coef(x) is the derivative of pointwise(x).
+    """
+    k_hat = grid.inv_lam * cc_fwd(source - x_prev / h) / mobility
+
+    def residual(x):
+        return (cc_inv(symbol * cc_fwd(x[0]) + k_hat) + _p0(pointwise(x[0])))[None]
+
+    def jacobian_coef(x):
+        return pointwise_coef(x[0])[None, None]
+
+    if start is None:
+        start = x_prev + (target - x_prev.mean())
+    x, iters = bounded_newton(
+        start[None], residual, jacobian_coef, symbol[None], [box], [target],
+        tol.newton_tol, tol.max_newton, tol.newton_damping_min, label=label)
+    x = x[0]
+    mu_hat = -cc_inv(grid.inv_lam * cc_fwd(x) / (mobility * h) + k_hat)
+    return x, mu_hat, iters
 
 
 def _solve_psi(grid, psi_prev, phi_prev, conv_psi, b, h, params: ModelParams,
                tol: SolverTolerances, start=None) -> tuple[np.ndarray, np.ndarray, int]:
-    mpsi = params.m_psi_const
+    # beta*A_N psi + P0 (F' + Gpsi) - mu_hat = 0.
+    def pointwise(psi):
+        return (mdl.f_psi(psi, params.theta_psi)[1]
+                + mdl.secant_g_psi(phi_prev, psi, psi_prev, params.theta_c, params.w))
 
-    def residual(x):
-        # beta*A_N psi + P0 F' + P0 Gpsi - mu_hat = 0, with A_N = -Laplacian.
-        psi = x[0]
-        fp = mdl.f_psi(psi, params.theta_psi)[1]
-        gsec = mdl.secant_g_psi(phi_prev, psi, psi_prev, params.theta_c, params.w)
-        return (params.beta * gridops.neg_lap(grid, psi) + _p0(fp + gsec)
-                - _mu_hat(grid, psi, psi_prev, conv_psi, h, mpsi))[None]
-
-    def jacobian_coef(x):
+    def pointwise_coef(psi):
         # The psi secant does not depend on the new psi: G is linear in psi.
-        return mdl.f_psi(x[0], params.theta_psi)[2][None, None]
+        return mdl.f_psi(psi, params.theta_psi)[2]
 
+    mpsi = params.m_psi_const
     symbol = params.beta * grid.lam + grid.inv_lam / (mpsi * h)
-    if start is None:
-        start = psi_prev + (b - psi_prev.mean())
-    x, iters = bounded_newton(
-        start[None], residual, jacobian_coef,
-        symbol[None], [(0.0, 1.0)], [b], tol.newton_tol, tol.max_newton,
-        tol.newton_damping_min, label="psi Newton")
-    psi = x[0]
-    return psi, _mu_hat(grid, psi, psi_prev, conv_psi, h, mpsi), iters
+    return _ch_solve(grid, psi_prev, conv_psi, h, mpsi, symbol, pointwise,
+                     pointwise_coef, (0.0, 1.0), b, tol, start, "psi Newton")
 
 
 def _solve_phi(grid, phi_prev, psi_new, conv_phi, reac, a, h, params: ModelParams,
                tol: SolverTolerances, start=None) -> tuple[np.ndarray, np.ndarray, int]:
+    # A_N phi + sigma2 A_N^-1 phi + P0 (F' + Gphi) - mu_hat = 0.
+    def pointwise(phi):
+        return (mdl.f_phi(phi, params.theta_phi)[1]
+                + mdl.secant_g_phi(phi, phi_prev, psi_new, params.theta_c, params.w))
+
+    def pointwise_coef(phi):
+        return (mdl.f_phi(phi, params.theta_phi)[2]
+                + mdl.secant_g_phi_dfirst(phi, phi_prev, psi_new, params.theta_c, params.w))
+
     mphi = params.m_phi_const
-    sig2 = params.sigma2
-    source = conv_phi + reac
-
-    def residual(x):
-        phi = x[0]
-        fp = mdl.f_phi(phi, params.theta_phi)[1]
-        gsec = mdl.secant_g_phi(phi, phi_prev, psi_new, params.theta_c, params.w)
-        out = gridops.neg_lap(grid, phi) + _p0(fp + gsec)
-        if sig2 > 0:
-            out += sig2 * gridops.inv_neg_lap(grid, phi)
-        return (out - _mu_hat(grid, phi, phi_prev, source, h, mphi))[None]
-
-    def jacobian_coef(x):
-        phi = x[0]
-        fpp = mdl.f_phi(phi, params.theta_phi)[2]
-        gp = mdl.secant_g_phi_dfirst(phi, phi_prev, psi_new, params.theta_c, params.w)
-        return (fpp + gp)[None, None]
-
-    symbol = grid.lam + (1.0 / (mphi * h) + sig2) * grid.inv_lam
-    if start is None:
-        start = phi_prev + (a - phi_prev.mean())
-    x, iters = bounded_newton(
-        start[None], residual, jacobian_coef,
-        symbol[None], [(-1.0, 1.0)], [a], tol.newton_tol, tol.max_newton,
-        tol.newton_damping_min, label="phi Newton")
-    phi = x[0]
-    return phi, _mu_hat(grid, phi, phi_prev, source, h, mphi), iters
+    symbol = grid.lam + (1.0 / (mphi * h) + params.sigma2) * grid.inv_lam
+    return _ch_solve(grid, phi_prev, conv_phi + reac, h, mphi, symbol, pointwise,
+                     pointwise_coef, (-1.0, 1.0), a, tol, start, "phi Newton")
 
 
 def ch_subsystem_solve(

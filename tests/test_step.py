@@ -4,14 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from chdf import grid as gridops
 from chdf import model as mdl
-from chdf.errors import StepTooLarge
+from chdf.errors import NewtonDivergence, StepTooLarge
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
 from chdf.grid import inv_neg_lap, neg_lap
-from chdf import step
+from chdf import diagnostics, step
 from chdf.step import (SolverTolerances, State, _damped_update, _p0,
                        ch_subsystem_solve, coupled_time_step, mean_targets)
 
@@ -236,6 +237,91 @@ def test_picard_iterations_start_from_the_previous_iterate(monkeypatch):
     phi, psi, _, _, _ = ch_subsystem_solve(state, nxt.u, targets, h, params, tol)
     assert np.max(np.abs(phi.data - nxt.phi.data)) <= 1e-10
     assert np.max(np.abs(psi.data - nxt.psi.data)) <= 1e-10
+
+
+def test_flux_and_pointwise_laws_hold_with_transport():
+    # The stripe's velocity is round-off; this state's is not, so the
+    # convective part of each flux law is checked at its own size.
+    grid = Grid2D(32, 32, 16.0, 16.0)
+    state = _band_state(grid)
+    params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
+    tol = SolverTolerances()
+    h = 0.1
+    nxt, pots, _ = coupled_time_step(state, h, params, tol)
+    assert np.sqrt(np.mean(nxt.u.x ** 2 + nxt.u.y ** 2)) > 1e-3
+
+    def close(lhs, rhs):
+        return np.max(np.abs(lhs - rhs)) < 10 * tol.newton_tol * (1 + np.max(np.abs(rhs)))
+
+    for new, prev, mu_hat, mobility in (
+            (nxt.phi, state.phi, pots.mu_phi_hat, params.m_phi_const),
+            (nxt.psi, state.psi, pots.mu_psi_hat, params.m_psi_const)):
+        g = gridops.gradient(prev)
+        lhs = (new.data - prev.data) / h + nxt.u.x * g.x + nxt.u.y * g.y
+        assert close(lhs, -mobility * neg_lap(grid, mu_hat.data))
+
+    phi, psi = nxt.phi.data, nxt.psi.data
+    gsec = mdl.secant_g_psi(state.phi.data, psi, state.psi.data, params.theta_c, params.w)
+    rhs = (params.beta * neg_lap(grid, psi) + mdl.f_psi(psi, params.theta_psi)[1]
+           + gsec)
+    assert close(pots.mu_psi.data, rhs)
+    gsec = mdl.secant_g_phi(phi, state.phi.data, psi, params.theta_c, params.w)
+    rhs = (neg_lap(grid, phi) + params.sigma2 * inv_neg_lap(grid, _p0(phi))
+           + mdl.f_phi(phi, params.theta_phi)[1] + gsec)
+    assert close(pots.mu_phi.data, rhs)
+
+
+def test_inner_solve_failure_names_its_solve(grid, monkeypatch):
+    def failing_lgmres(A, b, **kwargs):
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(step, "lgmres", failing_lgmres)
+    params = ModelParams(w=1.0, theta_c=1.5)
+    with pytest.raises(NewtonDivergence) as err:
+        coupled_time_step(_stripe_state(grid), 1e-3, params, SolverTolerances())
+    message = str(err.value)
+    assert "psi Newton" in message or "phi Newton" in message
+    assert "update 1" in message and "lgmres info 1" in message
+    assert "residual" in message
+
+
+def test_one_krylov_iteration_costs_two_transforms(grid, monkeypatch):
+    # Counted at the names the benchmark's tracer replaces.
+    transforms = [0]
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            transforms[0] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(step, "cc_fwd", counted(step.cc_fwd))
+    monkeypatch.setattr(step, "cc_inv", counted(step.cc_inv))
+    costs = {"matvec": [], "precond": []}
+    lgmres = step.lgmres
+
+    def spy(op, name):
+        def apply(v):
+            before = transforms[0]
+            out = op.matvec(v)
+            costs[name].append(transforms[0] - before)
+            return out
+        return LinearOperator(op.shape, matvec=apply)
+
+    def spied_lgmres(A, b, M, **kwargs):
+        return lgmres(spy(A, "matvec"), b, M=spy(M, "precond"), **kwargs)
+
+    monkeypatch.setattr(step, "lgmres", spied_lgmres)
+    params = ModelParams(w=1.0, theta_c=1.5, sigma2=0.1)
+    coupled_time_step(_stripe_state(grid), 1e-3, params, SolverTolerances())
+    n_step = len(costs["matvec"])
+    X, Y = grid.cell_centers()
+    pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
+    diagnostics.stationary_solve(0.1, 0.5, (ScalarField(grid, 0.1 + pert),
+                                            ScalarField(grid, 0.5 - pert)), params)
+    assert 0 < n_step < len(costs["matvec"])
+    assert set(costs["matvec"]) == {2}
+    assert set(costs["precond"]) == {0}
 
 
 def test_step_report_fields_consistent(grid):
