@@ -139,7 +139,7 @@ def stationary_solve(
 
     Unknowns are the zero-mean parts of (phi, psi); the constant chemical
     potentials are the Lagrange multipliers of the mean constraints and are
-    recovered as the means of the pointwise equations.  Joint damped Newton
+    recovered as the means of the pointwise equations.  Joint projected Newton
     with a Krylov linear solve, preconditioned diagonally in the cosine
     basis.
     """
@@ -174,7 +174,7 @@ def stationary_solve(
     # call here is one Newton update for anything that wraps that name.
     x, _ = bounded_newton(x0, residual, jacobian_coef, symbol,
                           [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass],
-                          tol, max_newton, 1e-4, krylov=_krylov_solve,
+                          tol, max_newton, krylov=_krylov_solve,
                           label="stationary solve")
     phi, psi = x
 

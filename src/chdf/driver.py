@@ -332,16 +332,23 @@ def run(cfg: RunConfig, perturb_hook=None) -> int:
     e0 = mdl.total_energy(state, params)
     slack_floor = -tol.energy_tol * (1.0 + abs(e0))
     psi_mean_0 = gridops.mean(state.psi)
-    n_steps = int(round(cfg.t_end / cfg.h))
+    # Time still to go, in units of h.  A step halved k times advances
+    # 2**-k of its request, and the next steps make that up, so `left` stays
+    # an exact dyadic fraction that reaches 0 with no sliver step.
+    left = float(round(cfg.t_end / cfg.h))
     potentials: ChemicalPotentials | None = None
     energy = e0
+    k = 0
     try:
-        for k in range(n_steps):
+        while left > 0.0:
+            frac = min(1.0, left)
             try:
                 state, potentials, report = coupled_time_step(
-                    state, cfg.h, params, tol, potentials, energy_before=energy)
+                    state, cfg.h * frac, params, tol, potentials,
+                    energy_before=energy)
             except (NonConvergence, StepTooLarge) as exc:
                 raise type(exc)(f"step {k}: {exc}") from exc
+            left -= frac * 0.5 ** report.h_halvings
             energy = report.energy_after
             if perturb_hook is not None:
                 perturb_hook(k, state)
@@ -364,7 +371,8 @@ def run(cfg: RunConfig, perturb_hook=None) -> int:
             if violations:
                 raise BoundViolation(
                     f"step {state.step_index}: " + "; ".join(violations))
-            if (k + 1) % cfg.output_every == 0 or k + 1 == n_steps:
+            k += 1
+            if k % cfg.output_every == 0 or left == 0.0:
                 tag = f"{state.step_index:08d}"
                 prefix = os.path.join(cfg.output_dir, cfg.snapshot_prefix)
                 write_snapshot(f"{prefix}_phi_{tag}.snap", state.phi, state.time, "phi")

@@ -26,7 +26,7 @@ class NewtonDivergence(NonConvergence):
 
 
 class BoundViolation(ChdfError):
-    """Raised when damping cannot keep an iterate strictly inside its bounds."""
+    """Raised when a field reaches or leaves its bounds, or a step breaks a ledger law."""
 
 
 class PicardStall(NonConvergence):

@@ -128,11 +128,6 @@ class ScalarField:
     def constant(cls, grid: Grid2D, value: float) -> "ScalarField":
         return cls(grid, np.full((grid.ny, grid.nx), value))
 
-    @classmethod
-    def from_function(cls, grid: Grid2D, fn) -> "ScalarField":
-        X, Y = grid.cell_centers()
-        return cls(grid, fn(X, Y))
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.data.copy())
 

@@ -6,7 +6,7 @@ the phase pair (phi, mu_phi_hat) then sees the new psi.  Each pair reduces
 to a single nonlinear equation for the zero-mean part of the order
 parameter, with a fused residual: one cosine symbol applied to the unknown,
 a coefficient constant fixed for the solve, and a pointwise term.
-`bounded_newton` solves it by damped Newton, its Krylov linear solve
+`bounded_newton` solves it by projected Newton, its Krylov linear solve
 running on the orthonormal cosine coefficients of the correction with a
 diagonal preconditioner; the stationary solve in `diagnostics` shares it.
 A Picard loop closes the velocity coupling: the velocity comes from
@@ -29,9 +29,6 @@ from .darcy import dissipation_integrands, velocity_solve
 from .errors import BoundViolation, NewtonDivergence, PicardStall, StepTooLarge
 from .grid import ScalarField, VectorField, cc_fwd, cc_inv
 from .model import ModelParams
-
-_ENDPOINT_MARGIN = 1e-13
-
 
 @dataclass
 class State:
@@ -104,15 +101,12 @@ class SolverTolerances:
     velocity_tol: float = 1e-11
     max_newton: int = 50
     max_picard: int = 100
-    newton_damping_min: float = 1e-4
 
     def __post_init__(self):
         if min(self.newton_tol, self.picard_tol, self.energy_tol, self.velocity_tol) <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_newton < 1 or self.max_picard < 1:
             raise ValueError("iteration caps must be positive")
-        if not 0 < self.newton_damping_min <= 1:
-            raise ValueError("newton_damping_min must lie in (0, 1]")
 
 
 @dataclass
@@ -143,41 +137,37 @@ def _convective(u: VectorField, f: ScalarField) -> np.ndarray:
     return u.x * g.x + u.y * g.y
 
 
-def _damped_update(cur: np.ndarray, delta: np.ndarray, lo: float, hi: float,
-                   floor: float) -> tuple[np.ndarray, float]:
-    """Pull the update back per cell so the iterate stays strictly inside.
+def _damped_update(cur: np.ndarray, delta: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Return cur plus the zero-mean delta, projected to keep it strictly inside.
 
-    Each cell's move is capped at 90 percent of its remaining distance to
-    the boundary; cells far from the endpoints take the full Newton step.
-    The capped step is re-projected to zero mean by alternating projections
-    (box and hyperplane are convex and share the origin) so the caller's
-    mean bookkeeping stays exact.
+    Each cell may move at most 90 percent of its remaining distance to the
+    boundary.  A delta that fits is taken whole; otherwise the move is the
+    Euclidean projection of delta onto that box intersected with the
+    zero-sum hyperplane, clip(delta - tau) for the one scalar tau at which
+    the clipped sum vanishes (the continuous quadratic knapsack; Helgason,
+    Kennington & Lall, Math. Prog. 18 (1980) 338).  The sum falls
+    monotonically in tau, so bisection on a bracket finds it.
     """
     room_dn = 0.9 * (cur - lo)
     room_up = 0.9 * (hi - cur)
     if room_dn.min() <= 0.0 or room_up.min() <= 0.0:
         raise BoundViolation("iterate already at a bound, cannot step")
-    d = delta
-    settle = 1e-16 * (1.0 + float(np.max(np.abs(delta))))
-    for _ in range(200):
-        d = d - d.mean()
-        c = np.clip(d, -room_dn, room_up)
-        if np.max(np.abs(c - d)) <= settle:
-            d = c - c.mean()
-            trial = cur + d
-            if trial.min() > lo and trial.max() < hi:
-                return trial, 1.0
-            break
-        d = c
-    # Alternating projection stalled: fall back to global halving.
-    lam = 1.0
-    while True:
-        trial = cur + lam * delta
-        if trial.min() > lo + _ENDPOINT_MARGIN and trial.max() < hi - _ENDPOINT_MARGIN:
-            return trial, lam
-        lam *= 0.5
-        if lam < floor:
-            raise BoundViolation("Newton damping floor hit while enforcing bounds")
+    d = np.clip(delta, -room_dn, room_up)
+    if not np.array_equal(d, delta):
+        # The clipped sum is sum(room_up) > 0 below the bracket and
+        # -sum(room_dn) < 0 above it; 100 halvings shrink it to round-off.
+        a, b = float(np.min(delta - room_up)), float(np.max(delta + room_dn))
+        for _ in range(100):
+            tau = 0.5 * (a + b)
+            if np.clip(delta - tau, -room_dn, room_up).sum() > 0.0:
+                a = tau
+            else:
+                b = tau
+        d = np.clip(delta - 0.5 * (a + b), -room_dn, room_up)
+    trial = cur + d
+    if not (trial.min() > lo and trial.max() < hi):
+        raise BoundViolation("projected Newton update left the open box")
+    return trial
 
 
 def _krylov_solve(op_matvec, precond_matvec, rhs: np.ndarray, shape, tol: float) -> np.ndarray:
@@ -194,8 +184,8 @@ def _krylov_solve(op_matvec, precond_matvec, rhs: np.ndarray, shape, tol: float)
 
 
 def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
-                   max_newton, damping_min, krylov=_krylov_solve, label="Newton"):
-    """Damped Newton-Krylov for k stacked fields with box bounds and fixed means.
+                   max_newton, krylov=_krylov_solve, label="Newton"):
+    """Projected Newton-Krylov for k stacked fields with box bounds and fixed means.
 
     x has shape (k, ny, nx) and each field x[i] stays strictly inside
     boxes[i] = (lo, hi) with mean means[i].  The Jacobian acting on a
@@ -209,9 +199,12 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
     correction, where J is symbol*c + P0 cc_fwd(C cc_inv(c)), two transforms
     per application, and the preconditioner is the diagonal
     1/(symbol[i] + mean(C_ii)).  The transform pair is an isometry, so the
-    Krylov norms and tolerance are those of the field.  Up to max_newton
-    updates are taken, stopping once max|residual(x)| <= tol.  Returns
-    (x, number of residual evaluations).
+    Krylov norms and tolerance are those of the field.  Each update is the
+    zero-mean Newton correction projected onto box intersected with fixed
+    mean (`_damped_update`: the whole correction when it moves no cell by
+    more than 90 percent of its room), after which the mean is re-imposed
+    against round-off.  Up to max_newton updates are taken, stopping once
+    max|residual(x)| <= tol.  Returns (x, number of residual evaluations).
     """
     x = np.array(x, dtype=float)
     for it in range(1, max_newton + 2):
@@ -245,7 +238,7 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
                                    f"{res:.3e}") from exc
         delta = cc_inv(sol, norm="ortho")
         for i, (lo, hi) in enumerate(boxes):
-            x[i], _ = _damped_update(x[i], _p0(delta[i]), lo, hi, damping_min)
+            x[i] = _damped_update(x[i], _p0(delta[i]), lo, hi)
             x[i] += means[i] - x[i].mean()
 
 
@@ -277,7 +270,7 @@ def _ch_solve(grid, x_prev, source, h, mobility, symbol, pointwise, pointwise_co
         start = x_prev + (target - x_prev.mean())
     x, iters = bounded_newton(
         start[None], residual, jacobian_coef, symbol[None], [box], [target],
-        tol.newton_tol, tol.max_newton, tol.newton_damping_min, label=label)
+        tol.newton_tol, tol.max_newton, label=label)
     x = x[0]
     mu_hat = -cc_inv(grid.inv_lam * cc_fwd(x) / (mobility * h) + k_hat)
     return x, mu_hat, iters

@@ -5,11 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from chdf import cli, driver
+from chdf import cli, driver, step
 from chdf import grid as gridops
 from chdf import model as mdl
-from chdf.errors import (BoundViolation, ParseError, SnapshotFormatError,
-                         StepTooLarge, UnknownPreset, ValidationError)
+from chdf.errors import (BoundViolation, ParseError, PicardStall,
+                         SnapshotFormatError, StepTooLarge, UnknownPreset,
+                         ValidationError)
 from chdf.grid import Grid2D, ScalarField
 from chdf.model import ModelParams
 
@@ -53,9 +54,14 @@ def test_minimal_config_gets_defaults(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    bad = MINIMAL + "\n[model]\nwibble = 3\n"
-    with pytest.raises(ValidationError, match="wibble"):
-        driver.load_config(_write(tmp_path / "b.cfg", bad))
+    # newton_damping_min was removed with the bounded Newton halving fallback.
+    for section, line in (("model", "wibble = 3"),
+                          ("tolerances", "newton_damping_min = 1e-4")):
+        key = line.split()[0]
+        path = _write(tmp_path / "b.cfg", MINIMAL + f"\n[{section}]\n{line}\n")
+        with pytest.raises(ValidationError, match=key):
+            driver.load_config(path)
+        assert cli.main(["check", path]) == cli.EXIT_VALIDATION
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -309,6 +315,52 @@ width = 0.1
         assert len(calls) == evaluations
         ledgers.append(open(os.path.join(cfg.output_dir, cfg.series), "rb").read())
     assert ledgers[0] == ledgers[1]
+
+
+def test_run_makes_up_time_lost_to_a_halved_step(tmp_path, monkeypatch):
+    # One Picard stall halves the first step to h/2; the run makes up the
+    # other h/2 at the end instead of stopping short of t_end.
+    text = """
+[grid]
+nx = 16
+ny = 16
+
+[time]
+h = 1e-3
+t_end = 5e-3
+
+[model]
+w = 1.0
+theta_c = 2.0
+
+[initial]
+preset = stripe
+amplitude = 0.8
+width = 0.1
+"""
+    text += f"\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    cfg = driver.load_config(_write(tmp_path / "halve.cfg", text))
+    attempt = step._attempt_step
+    stalls = []
+
+    def stall_once(*args):
+        if not stalls:
+            stalls.append(args[1])
+            raise PicardStall("injected stall")
+        return attempt(*args)
+
+    monkeypatch.setattr(step, "_attempt_step", stall_once)
+    assert driver.run(cfg) == 0
+    assert stalls == [1e-3]
+    rows = driver.read_ledger(os.path.join(cfg.output_dir, cfg.series))
+    # h/2, four steps of h, h/2: no sliver step after the last.
+    assert len(rows) == 6
+    assert rows[0].time == 5e-4
+    assert rows[-1].time == pytest.approx(5e-3, abs=1e-15)
+    snaps = sorted(n for n in os.listdir(cfg.output_dir) if n.endswith(".snap"))
+    assert snaps == ["state_phi_00000006.snap", "state_psi_00000006.snap"]
+    _, t, _ = driver.read_snapshot(os.path.join(cfg.output_dir, snaps[0]))
+    assert t == pytest.approx(5e-3, abs=1e-15)
 
 
 def test_run_names_step_on_solver_failure(tmp_path):

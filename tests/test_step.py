@@ -12,7 +12,7 @@ from chdf.errors import NewtonDivergence, StepTooLarge
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
 from chdf.grid import inv_neg_lap, neg_lap
-from chdf import diagnostics, step
+from chdf import diagnostics, driver, step
 from chdf.step import (SolverTolerances, State, _damped_update, _p0,
                        ch_subsystem_solve, coupled_time_step, mean_targets)
 
@@ -59,25 +59,69 @@ def test_mean_targets_step_too_large(grid):
 # ---------------------------------------------------------------------------
 
 def test_damped_update_full_step_in_interior():
-    cur = np.zeros((4, 4))
-    delta = 0.1 * np.ones((4, 4))
-    delta[0, 0] = -1.5  # keep zero mean irrelevant; feasibility only
-    out, lam = _damped_update(cur, delta - delta.mean(), -1.0, 1.0, 1e-4)
-    assert lam == 1.0
-    assert out.min() > -1.0 and out.max() < 1.0
+    # Cells sit in [-0.5, 0.5], so each has at least 0.45 of room, and no
+    # cell moves by more than 0.4: the step fits and is taken whole.
+    rng = np.random.default_rng(3)
+    cur = 0.5 * np.cos(np.linspace(0.0, np.pi, 16)).reshape(4, 4)
+    delta = _p0(rng.uniform(-0.2, 0.2, (4, 4)))
+    out = _damped_update(cur, delta, -1.0, 1.0)
+    assert np.array_equal(out, cur + delta)
 
 
 def test_damped_update_pulls_back_near_boundary():
-    cur = np.full((4, 4), 0.0)
-    cur[0, 0] = 0.999
-    delta = np.zeros((4, 4))
-    delta[0, 0] = 0.5
-    delta -= delta.mean()
-    out, _ = _damped_update(cur, delta, -1.0, 1.0, 1e-4)
-    assert out.max() < 1.0
-    assert out.min() > -1.0
-    # Mean is preserved by the projection.
-    assert out.mean() == pytest.approx(cur.mean() + 0.0, abs=1e-12)
+    # One cell asked to move -1.5 with 0.9 of room, and one cell 1e-3 below
+    # the upper bound asked to move +0.47: both updates must be projected.
+    far = 0.1 * np.ones((4, 4))
+    far[0, 0] = -1.5
+    near = np.zeros((4, 4))
+    near[0, 0] = 0.999
+    kick = np.zeros((4, 4))
+    kick[0, 0] = 0.5
+    for cur, delta in ((np.zeros((4, 4)), _p0(far)), (near, _p0(kick))):
+        out = _damped_update(cur, delta, -1.0, 1.0)
+        d = out - cur
+        room_dn, room_up = 0.9 * (cur + 1.0), 0.9 * (1.0 - cur)
+        assert out.min() > -1.0 and out.max() < 1.0
+        assert abs(d.sum()) <= 1e-14
+        assert np.all(d >= -room_dn - 1e-15) and np.all(d <= room_up + 1e-15)
+        # KKT conditions of the projection onto box and zero sum: the cells
+        # off the clip limits move by delta - tau for one common tau, and
+        # the clipped cells are those that delta - tau would push past them.
+        at_dn = np.abs(d + room_dn) <= 1e-15
+        at_up = np.abs(d - room_up) <= 1e-15
+        free = ~(at_dn | at_up)
+        assert free.any() and not free.all()
+        shifts = (delta - d)[free]
+        tau = shifts.mean()
+        assert np.ptp(shifts) <= 1e-15
+        assert np.all(delta[at_dn] - tau <= -room_dn[at_dn] + 1e-15)
+        assert np.all(delta[at_up] - tau >= room_up[at_up] - 1e-15)
+
+
+def test_projected_updates_keep_a_clipping_solve_inside(monkeypatch):
+    # A sharp stripe with a deep well: the phi Newton corrections overshoot
+    # the box, and the step still ends strictly inside with exact means.
+    grid = Grid2D(32, 32, 1.0, 1.0)
+    params = ModelParams(theta_c=8.0, w=1.0, alpha=1.0, sigma2=0.1)
+    prev = driver.initial_condition("stripe", grid, params, 0,
+                                    amplitude=1.0, width=0.01)
+    projected = []
+    damped = step._damped_update
+
+    def spy(cur, delta, lo, hi):
+        out = damped(cur, delta, lo, hi)
+        projected.append(not np.array_equal(out, cur + delta))
+        return out
+
+    monkeypatch.setattr(step, "_damped_update", spy)
+    tol = SolverTolerances()
+    e0 = mdl.total_energy(prev, params)
+    nxt, _, report = coupled_time_step(prev, 0.1, params, tol)
+    assert any(projected)
+    nxt.validate()
+    assert abs(gridops.mean(nxt.phi) - report.mass_target_a) <= 1e-13
+    assert abs(gridops.mean(nxt.psi) - gridops.mean(prev.psi)) <= 1e-13
+    assert report.inequality_slack >= -tol.energy_tol * (1.0 + abs(e0))
 
 
 # ---------------------------------------------------------------------------
