@@ -141,7 +141,9 @@ def stationary_solve(
     potentials are the Lagrange multipliers of the mean constraints and are
     recovered as the means of the pointwise equations.  Joint projected Newton
     with a Krylov linear solve, preconditioned diagonally in the cosine
-    basis.
+    basis and run to the Eisenstat-Walker relative tolerance of
+    `bounded_newton`: 0.01 at the first update, at most 0.01 after, and
+    not below 0.5 tol/|residual| unless 0.01 is smaller.
     """
     if not -1.0 < phi_mass < 1.0:
         raise ValidationError("phi_mass must lie in the open interval (-1, 1)")

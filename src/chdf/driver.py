@@ -94,6 +94,11 @@ def _convert(section: str, key: str, raw: str, typ):
     return val
 
 
+def _step_count(cfg: RunConfig) -> int:
+    """Number of steps of size h that `run` takes to reach t_end."""
+    return round(cfg.t_end / cfg.h)
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate a run configuration file."""
     parser = configparser.ConfigParser(strict=True, interpolation=None)
@@ -148,6 +153,9 @@ def load_config(path: str) -> RunConfig:
         raise ValidationError("h must be > 0")
     if cfg.t_end <= 0:
         raise ValidationError("t_end must be > 0")
+    if _step_count(cfg) < 1:
+        raise ValidationError(f"t_end = {cfg.t_end:g} rounds to 0 steps of "
+                              f"h = {cfg.h:g}: round(t_end/h) must be >= 1")
     if cfg.output_every < 1:
         raise ValidationError("output_every must be >= 1")
     if cfg.preset not in ("homogeneous", "stripe", "random_spinodal", "snapshot"):
@@ -335,7 +343,7 @@ def run(cfg: RunConfig, perturb_hook=None) -> int:
     # Time still to go, in units of h.  A step halved k times advances
     # 2**-k of its request, and the next steps make that up, so `left` stays
     # an exact dyadic fraction that reaches 0 with no sliver step.
-    left = float(round(cfg.t_end / cfg.h))
+    left = float(_step_count(cfg))
     potentials: ChemicalPotentials | None = None
     energy = e0
     k = 0

@@ -8,7 +8,8 @@ parameter, with a fused residual: one cosine symbol applied to the unknown,
 a coefficient constant fixed for the solve, and a pointwise term.
 `bounded_newton` solves it by projected Newton, its Krylov linear solve
 running on the orthonormal cosine coefficients of the correction with a
-diagonal preconditioner; the stationary solve in `diagnostics` shares it.
+diagonal preconditioner and an Eisenstat-Walker relative tolerance; the
+stationary solve in `diagnostics` shares it.
 A Picard loop closes the velocity coupling: the velocity comes from
 `darcy.velocity_solve`, solenoidal as returned.  From the second Picard
 iteration on, the velocity, psi and phi solves start from the previous
@@ -170,14 +171,21 @@ def _damped_update(cur: np.ndarray, delta: np.ndarray, lo: float, hi: float) -> 
     return trial
 
 
-def _krylov_solve(op_matvec, precond_matvec, rhs: np.ndarray, shape, tol: float) -> np.ndarray:
+# Eisenstat-Walker forcing for the inner linear solves of bounded_newton
+# (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996) 16; Kelley,
+# Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, 6.3).
+ETA_MAX = 0.01
+EW_GAMMA = 0.9
+
+
+def _krylov_solve(op_matvec, precond_matvec, rhs: np.ndarray, shape, rtol: float) -> np.ndarray:
     n = rhs.size
     A = LinearOperator((n, n), matvec=lambda v: op_matvec(v.reshape(shape)).ravel())
     M = LinearOperator((n, n), matvec=lambda v: precond_matvec(v.reshape(shape)).ravel())
     rnorm = np.linalg.norm(rhs)
     if rnorm == 0.0:
         return np.zeros(shape)
-    sol, info = lgmres(A, rhs.ravel(), M=M, rtol=1e-8, atol=tol, maxiter=200)
+    sol, info = lgmres(A, rhs.ravel(), M=M, rtol=rtol, atol=0.0, maxiter=200)
     if info != 0:
         raise NewtonDivergence(f"inner linear solve failed to converge (lgmres info {info})")
     return sol.reshape(shape)
@@ -199,7 +207,14 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
     correction, where J is symbol*c + P0 cc_fwd(C cc_inv(c)), two transforms
     per application, and the preconditioner is the diagonal
     1/(symbol[i] + mean(C_ii)).  The transform pair is an isometry, so the
-    Krylov norms and tolerance are those of the field.  Each update is the
+    Krylov norms are those of the field.  The linear solve of update k stops
+    at the relative residual eta_k (Eisenstat-Walker forcing, no absolute
+    tolerance): eta_0 = ETA_MAX and
+    eta_k = min(ETA_MAX, max(EW_GAMMA (|F_k| / |F_k-1|)^2, 0.5 tol / |F_k|))
+    with |F| the 2-norm of the residual field (that of the Krylov rhs): the
+    solve is loose while Newton converges slowly and tight once it converges
+    fast, and the floor stops it working past what the stopping rule needs
+    (ETA_MAX still caps eta when |F_k| < 50 tol).  Each update is the
     zero-mean Newton correction projected onto box intersected with fixed
     mean (`_damped_update`: the whole correction when it moves no cell by
     more than 90 percent of its room), after which the mean is re-imposed
@@ -215,6 +230,10 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
         if it > max_newton:
             raise NewtonDivergence(f"{label} did not converge: residual "
                                    f"{res:.3e} after {max_newton} updates")
+        fnorm = float(np.linalg.norm(R))
+        eta = ETA_MAX if it == 1 else min(
+            ETA_MAX, max(EW_GAMMA * (fnorm / fnorm_prev) ** 2, 0.5 * tol / fnorm))
+        fnorm_prev = fnorm
         C = jacobian_coef(x)
         cbar = [max(float(C[i, i].mean()), 1e-12) for i in range(len(x))]
         prec = 1.0 / (symbol + np.array(cbar)[:, None, None])
@@ -232,7 +251,7 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
             return c * prec
 
         try:
-            sol = krylov(matvec, precond, cc_fwd(-R, norm="ortho"), x.shape, 0.01 * tol)
+            sol = krylov(matvec, precond, cc_fwd(-R, norm="ortho"), x.shape, eta)
         except NewtonDivergence as exc:
             raise NewtonDivergence(f"{label} update {it}: {exc}; residual "
                                    f"{res:.3e}") from exc

@@ -89,6 +89,21 @@ def test_malformed_line_is_parse_error(tmp_path):
         driver.load_config(_write(tmp_path / "f.cfg", "[grid]\nnx 16\n"))
 
 
+def test_t_end_below_one_step_rejected(tmp_path):
+    # run takes round(t_end/h) steps; zero steps would exit 0 with an empty
+    # ledger and no snapshot.
+    for t_end in ("4e-4", "5e-4"):
+        path = _write(tmp_path / "z.cfg", MINIMAL.replace("t_end = 0.01",
+                                                          f"t_end = {t_end}"))
+        with pytest.raises(ValidationError, match=r"t_end.*h = 0\.001"):
+            driver.load_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--output-dir", str(out)]) == cli.EXIT_VALIDATION
+        assert not out.exists()
+    path = _write(tmp_path / "one.cfg", MINIMAL.replace("t_end = 0.01", "t_end = 6e-4"))
+    assert driver.load_config(path).t_end == 6e-4
+
+
 def test_non_numeric_value_is_parse_error(tmp_path):
     cases = [("model", "alpha", "fast"), ("time", "h", "nan"),
              ("time", "t_end", "inf"), ("grid", "Lx", "nan"),

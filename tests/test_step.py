@@ -368,6 +368,82 @@ def test_one_krylov_iteration_costs_two_transforms(grid, monkeypatch):
     assert set(costs["precond"]) == {0}
 
 
+def test_inner_solves_follow_the_forcing_rule(grid, monkeypatch):
+    # Every lgmres call of a transport-active step and of a stationary solve
+    # asks for a relative residual only: the first of each solve 0.01 (the
+    # cap ETA_MAX), later ones at most 0.01 and never below 0.5 tol / |b|
+    # unless the cap binds (a warm-started solve may start at |b| < 50 tol).
+    solves = []
+    newton, lgmres = step.bounded_newton, step.lgmres
+
+    def marked(x, residual, jacobian_coef, symbol, boxes, means, tol, *args, **kwargs):
+        solves.append((tol, []))
+        return newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
+                      *args, **kwargs)
+
+    def spied(A, b, **kwargs):
+        solves[-1][1].append((kwargs, float(np.linalg.norm(b))))
+        return lgmres(A, b, **kwargs)
+
+    monkeypatch.setattr(step, "bounded_newton", marked)
+    monkeypatch.setattr(diagnostics, "bounded_newton", marked)
+    monkeypatch.setattr(step, "lgmres", spied)
+    params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
+    coupled_time_step(_band_state(grid), 0.1, params, SolverTolerances())
+    X, Y = grid.cell_centers()
+    pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
+    diagnostics.stationary_solve(0.1, 0.5, (ScalarField(grid, 0.1 + pert),
+                                            ScalarField(grid, 0.5 - pert)), params)
+    assert sum(len(calls) for _, calls in solves) > len(solves) > 2
+    for tol, calls in solves:
+        if calls:
+            assert calls[0][0]["rtol"] == 0.01
+        for kwargs, bnorm in calls:
+            assert kwargs["atol"] == 0.0
+            assert kwargs["rtol"] <= 0.01
+            floor = min(0.01 * bnorm, 0.5 * tol)
+            assert kwargs["rtol"] * bnorm >= floor * (1 - 1e-12)
+
+
+def test_inexact_newton_reaches_the_same_root(monkeypatch):
+    # Two periods of lamellae at the cell size and model of the steady-128
+    # benchmark.  The reference solves every Newton system to rtol 1e-12,
+    # or to an absolute 1e-14 where 1e-12 relative lies below round-off.
+    grid = Grid2D(32, 32, 4.0, 4.0)
+    X, Y = grid.cell_centers()
+    lam = np.cos(np.pi * X) + 0.1 * np.cos(0.5 * np.pi * Y)
+    phi = 0.9 * np.tanh(3.0 * lam)
+    seed = (ScalarField(grid, phi - phi.mean()),
+            ScalarField(grid, 0.5 + 0.2 * lam / np.max(np.abs(lam))))
+    params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
+    tol = 1e-10
+
+    def residual(sol):
+        # The stationary equations with the recovered constant potentials.
+        phi, psi = sol.phi_inf.data, sol.psi_inf.data
+        _, gphi, gpsi = mdl.coupling_g(phi, psi, params.theta_c, params.w)
+        r_phi = (neg_lap(grid, phi) + params.sigma2 * inv_neg_lap(grid, _p0(phi))
+                 + mdl.f_phi(phi, params.theta_phi)[1] + gphi - sol.mu_phi_inf)
+        r_psi = (params.beta * neg_lap(grid, psi)
+                 + mdl.f_psi(psi, params.theta_psi)[1] + gpsi - sol.mu_psi_inf)
+        return max(np.max(np.abs(r_phi)), np.max(np.abs(r_psi)))
+
+    inexact = diagnostics.stationary_solve(0.1, 0.5, seed, params, tol=tol)
+    krylov = diagnostics._krylov_solve
+
+    def tight(op_matvec, precond_matvec, rhs, shape, rtol):
+        rtol = max(1e-12, 1e-14 / np.linalg.norm(rhs))
+        return krylov(op_matvec, precond_matvec, rhs, shape, rtol)
+
+    monkeypatch.setattr(diagnostics, "_krylov_solve", tight)
+    exact = diagnostics.stationary_solve(0.1, 0.5, seed, params, tol=tol)
+    assert residual(inexact) <= tol and residual(exact) <= tol
+    for a, b in ((inexact.phi_inf, exact.phi_inf), (inexact.psi_inf, exact.psi_inf)):
+        assert np.max(np.abs(a.data - b.data)) <= 1e-9
+    assert abs(inexact.mu_phi_inf - exact.mu_phi_inf) <= 1e-10
+    assert abs(inexact.mu_psi_inf - exact.mu_psi_inf) <= 1e-10
+
+
 def test_step_report_fields_consistent(grid):
     params = ModelParams(w=1.0, theta_c=1.0)
     state = _stripe_state(grid, amplitude=0.5)
