@@ -18,8 +18,7 @@ from . import model as mdl
 from .errors import ValidationError
 from .grid import ScalarField
 from .model import ModelParams
-from .step import (ChemicalPotentials, State, StepReport, _krylov_solve, _p0,
-                   bounded_newton)
+from .step import ChemicalPotentials, State, StepReport, _krylov_solve, bounded_newton
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,14 @@ def stationary_solve(
 ) -> EquilibriumSolution:
     """Solve the stationary elliptic system at prescribed means.
 
-    Unknowns are the zero-mean parts of (phi, psi); the constant chemical
-    potentials are the Lagrange multipliers of the mean constraints and are
-    recovered as the means of the pointwise equations.  Joint projected Newton
-    with a Krylov linear solve, preconditioned diagonally in the cosine
-    basis and run to the Eisenstat-Walker relative tolerance of
-    `bounded_newton`: 0.01 at the first update, at most 0.01 after, and
-    not below 0.5 tol/|residual| unless 0.01 is smaller.
+    Unknowns are the zero-mean parts of (phi, psi), and the equations are
+    L x + p(x) = mu_inf with L = (A_N + sigma2 A_N^-1, beta A_N) cosine
+    diagonal and p = (F_phi' + dG/dphi, F_psi' + dG/dpsi) pointwise:
+    `bounded_newton` with k_hat = 0, and one kernel that gives p and its
+    Jacobian, its Krylov solve run to the Eisenstat-Walker tolerance there.
+    The constant chemical potentials mu_inf are the Lagrange multipliers of
+    the mean constraints: the means of p at the solution, which the solve
+    returns.
     """
     if not -1.0 < phi_mass < 1.0:
         raise ValidationError("phi_mass must lie in the open interval (-1, 1)")
@@ -154,40 +154,26 @@ def stationary_solve(
     sig2 = params.sigma2
     symbol = np.stack([grid.lam + sig2 * grid.inv_lam, params.beta * grid.lam])
 
-    def residual(x):
+    def pointwise(x):
         phi, psi = x
-        fp = mdl.f_phi(phi, params.theta_phi)[1]
-        fq = mdl.f_psi(psi, params.theta_psi)[1]
+        _, fp, fpp = mdl.f_phi(phi, params.theta_phi)
+        _, fq, fqq = mdl.f_psi(psi, params.theta_psi)
         _, gphi, gpsi = mdl.coupling_g(phi, psi, params.theta_c, params.w)
-        return (gridops.cc_inv(gridops.cc_fwd(x) * symbol)
-                + _p0(np.stack([fp + gphi, fq + gpsi])))
-
-    def jacobian_coef(x):
-        phi, psi = x
-        fpp = mdl.f_phi(phi, params.theta_phi)[2]
-        fqq = mdl.f_psi(psi, params.theta_psi)[2]
         g_pp = -params.theta_c + 2.0 * params.w * psi
         g_pq = 2.0 * params.w * phi
-        return np.array([[fpp + g_pp, g_pq], [g_pq, fqq]])
+        return (np.stack([fp + gphi, fq + gpsi]),
+                np.array([[fpp + g_pp, g_pq], [g_pq, fqq]]))
 
     x0 = np.stack([phi_seed.data + (phi_mass - phi_seed.data.mean()),
                    psi_seed.data + (psi_mass - psi_seed.data.mean())])
     # The linear solve goes through this module's _krylov_solve so that one
     # call here is one Newton update for anything that wraps that name.
-    x, _ = bounded_newton(x0, residual, jacobian_coef, symbol,
-                          [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass],
-                          tol, max_newton, krylov=_krylov_solve,
-                          label="stationary solve")
-    phi, psi = x
-
-    fp = mdl.f_phi(phi, params.theta_phi)[1]
-    fq = mdl.f_psi(psi, params.theta_psi)[1]
-    _, gphi, gpsi = mdl.coupling_g(phi, psi, params.theta_c, params.w)
-    mu_phi_inf = float(np.mean(fp + gphi))
-    mu_psi_inf = float(np.mean(fq + gpsi))
+    (phi, psi), _, (mu_phi_inf, mu_psi_inf) = bounded_newton(
+        x0, pointwise, symbol, 0.0, [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass],
+        tol, max_newton, krylov=_krylov_solve, label="stationary solve")
     return EquilibriumSolution(
         phi_inf=ScalarField(grid, phi),
         psi_inf=ScalarField(grid, psi),
-        mu_phi_inf=mu_phi_inf,
-        mu_psi_inf=mu_psi_inf,
+        mu_phi_inf=float(mu_phi_inf),
+        mu_psi_inf=float(mu_psi_inf),
     )

@@ -207,12 +207,15 @@ def read_snapshot(path: str) -> tuple[ScalarField, float, str]:
         checksum = int(parts[7], 16)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: unparseable header fields") from exc
+    try:
+        grid = Grid2D(nx, ny, Lx, Ly)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: header names an invalid grid: {exc}") from exc
     if len(payload) != nx * ny * 8:
         raise SnapshotFormatError(f"{path}: payload length mismatch")
     if _fnv1a64(payload) != checksum:
         raise SnapshotFormatError(f"{path}: checksum mismatch")
     data = np.frombuffer(payload, dtype="<f8").reshape(ny, nx).astype(float)
-    grid = Grid2D(nx, ny, Lx, Ly)
     return ScalarField(grid, data), time, name
 
 

@@ -2,14 +2,16 @@
 
 Structure of the discrete equations: the surfactant pair (psi, mu_psi_hat)
 closes on its own because its coupling secant freezes phi at the old step;
-the phase pair (phi, mu_phi_hat) then sees the new psi.  Each pair reduces
-to a single nonlinear equation for the zero-mean part of the order
-parameter, with a fused residual: one cosine symbol applied to the unknown,
-a coefficient constant fixed for the solve, and a pointwise term.
-`bounded_newton` solves it by projected Newton, its Krylov linear solve
-running on the orthonormal cosine coefficients of the correction with a
-diagonal preconditioner and an Eisenstat-Walker relative tolerance; the
-stationary solve in `diagnostics` shares it.
+the phase pair (phi, mu_phi_hat) then sees the new psi.  Each pair, like
+the stationary problem in `diagnostics`, is one nonlinear equation for the
+zero-mean part of the unknown: a cosine-diagonal operator on it, a
+coefficient constant fixed for the solve, and a pointwise constitutive
+term whose mean, the Lagrange multiplier of the mean constraint, is the
+constant part of the chemical potential.  `bounded_newton` forms that
+residual from one pointwise kernel call per evaluation, solves it by
+projected Newton with a Krylov solve on the orthonormal cosine
+coefficients of the correction (diagonal preconditioner, Eisenstat-Walker
+relative tolerance), and returns the mean with the solution.
 A Picard loop closes the velocity coupling: the velocity comes from
 `darcy.velocity_solve`, solenoidal as returned.  From the second Picard
 iteration on, the velocity, psi and phi solves start from the previous
@@ -110,12 +112,6 @@ class SolverTolerances:
             raise ValueError("iteration caps must be positive")
 
 
-@dataclass
-class NewtonReport:
-    iterations_phi: int = 0
-    iterations_psi: int = 0
-
-
 def mean_targets(phi_prev: ScalarField, psi_prev: ScalarField, h: float,
                  params: ModelParams) -> tuple[float, float]:
     """Prescribed step means: the phase mean relaxes toward c, psi is conserved."""
@@ -191,18 +187,25 @@ def _krylov_solve(op_matvec, precond_matvec, rhs: np.ndarray, shape, rtol: float
     return sol.reshape(shape)
 
 
-def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
-                   max_newton, krylov=_krylov_solve, label="Newton"):
+def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
+                   krylov=_krylov_solve, label="Newton"):
     """Projected Newton-Krylov for k stacked fields with box bounds and fixed means.
 
     x has shape (k, ny, nx) and each field x[i] stays strictly inside
-    boxes[i] = (lo, hi) with mean means[i].  The Jacobian acting on a
-    zero-mean perturbation v is
+    boxes[i] = (lo, hi) with mean means[i].  The equations are
 
-        (J v)_i = symbol[i] v_i  +  P0( sum_j C_ij v_j ),
+        F(x) = cc_inv(symbol cc_fwd(x) + k_hat) + P0 p = 0,
 
     symbol[i] being diagonal in the cosine basis (zero on the constant
-    mode) and C = jacobian_coef(x) a pointwise (k, k, ny, nx) coefficient.
+    mode), k_hat cosine coefficients fixed for the solve (0.0 for none) and
+    (p, C) = pointwise(x) the one constitutive kernel: the (k, ny, nx)
+    pointwise term and its (k, k, ny, nx) Jacobian, called once per
+    residual evaluation.  The mean of p that P0 removes is the Lagrange
+    multiplier of the mean constraint: the constant part of the potential.
+    The Jacobian acting on a zero-mean perturbation v is
+
+        (J v)_i = symbol[i] v_i  +  P0( sum_j C_ij v_j ).
+
     The linear solve runs on the orthonormal cosine coefficients c of the
     correction, where J is symbol*c + P0 cc_fwd(C cc_inv(c)), two transforms
     per application, and the preconditioner is the diagonal
@@ -219,14 +222,17 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
     mean (`_damped_update`: the whole correction when it moves no cell by
     more than 90 percent of its room), after which the mean is re-imposed
     against round-off.  Up to max_newton updates are taken, stopping once
-    max|residual(x)| <= tol.  Returns (x, number of residual evaluations).
+    max|F(x)| <= tol.  Returns (x, number of residual evaluations, the mean
+    of each field of p at the returned x).
     """
     x = np.array(x, dtype=float)
     for it in range(1, max_newton + 2):
-        R = residual(x)
+        p, C = pointwise(x)
+        pbar = p.mean(axis=(-2, -1), keepdims=True)
+        R = cc_inv(symbol * cc_fwd(x) + k_hat) + (p - pbar)
         res = float(np.max(np.abs(R)))
         if res <= tol:
-            return x, it
+            return x, it, pbar.ravel()
         if it > max_newton:
             raise NewtonDivergence(f"{label} did not converge: residual "
                                    f"{res:.3e} after {max_newton} updates")
@@ -234,7 +240,6 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
         eta = ETA_MAX if it == 1 else min(
             ETA_MAX, max(EW_GAMMA * (fnorm / fnorm_prev) ** 2, 0.5 * tol / fnorm))
         fnorm_prev = fnorm
-        C = jacobian_coef(x)
         cbar = [max(float(C[i, i].mean()), 1e-12) for i in range(len(x))]
         prec = 1.0 / (symbol + np.array(cbar)[:, None, None])
         prec[:, 0, 0] = 0.0
@@ -265,68 +270,59 @@ def bounded_newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
 # Cahn-Hilliard subsystem (velocity frozen)
 # ---------------------------------------------------------------------------
 
-def _ch_solve(grid, x_prev, source, h, mobility, symbol, pointwise, pointwise_coef,
-              box, target, tol: SolverTolerances, start,
-              label) -> tuple[np.ndarray, np.ndarray, int]:
-    """Solve one order-parameter pair; return (x, mu_hat, Newton iterations).
+def _ch_solve(grid, x_prev, source, h, mobility, symbol, pointwise, box, target,
+              tol: SolverTolerances, start,
+              label) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Solve one order-parameter pair; return (x, mu_hat, Newton count, mu - mu_hat).
 
     mu_hat is the zero-mean potential of the discrete flux law
     (x - x_prev)/h + source = -mobility A_N mu_hat, A_N = -Laplacian, so in
     cosine coefficients -mu_hat = inv_lam x/(mobility h) + k_hat with k_hat
-    fixed for the solve.  The residual is symbol x + P0 pointwise(x) - mu_hat,
-    where symbol includes that inv_lam term: one transform pair per
-    evaluation.  pointwise_coef(x) is the derivative of pointwise(x).
+    fixed for the solve.  The pointwise law mu = L x + p(x), L the pair's
+    cosine-diagonal operator, leaves for bounded_newton the residual
+    cc_inv(symbol cc_fwd(x) + k_hat) + P0 p(x), symbol = L + inv_lam/(mobility h),
+    with pointwise the bounded_newton kernel of the (1, ny, nx) stack.  The
+    constant mu - mu_hat is the mean of p that bounded_newton returns.
     """
     k_hat = grid.inv_lam * cc_fwd(source - x_prev / h) / mobility
-
-    def residual(x):
-        return (cc_inv(symbol * cc_fwd(x[0]) + k_hat) + _p0(pointwise(x[0])))[None]
-
-    def jacobian_coef(x):
-        return pointwise_coef(x[0])[None, None]
-
     if start is None:
         start = x_prev + (target - x_prev.mean())
-    x, iters = bounded_newton(
-        start[None], residual, jacobian_coef, symbol[None], [box], [target],
+    (x,), iters, (pbar,) = bounded_newton(
+        start[None], pointwise, symbol[None], k_hat, [box], [target],
         tol.newton_tol, tol.max_newton, label=label)
-    x = x[0]
     mu_hat = -cc_inv(grid.inv_lam * cc_fwd(x) / (mobility * h) + k_hat)
-    return x, mu_hat, iters
+    return x, mu_hat, iters, pbar
 
 
 def _solve_psi(grid, psi_prev, phi_prev, conv_psi, b, h, params: ModelParams,
-               tol: SolverTolerances, start=None) -> tuple[np.ndarray, np.ndarray, int]:
-    # beta*A_N psi + P0 (F' + Gpsi) - mu_hat = 0.
-    def pointwise(psi):
-        return (mdl.f_psi(psi, params.theta_psi)[1]
-                + mdl.secant_g_psi(phi_prev, psi, psi_prev, params.theta_c, params.w))
+               tol: SolverTolerances, start=None) -> tuple[np.ndarray, np.ndarray, int, float]:
+    # beta*A_N psi + F' + Gpsi = mu.  The psi secant does not depend on
+    # the new psi (G is linear in psi), so it is evaluated once.
+    gpsi = mdl.secant_g_psi(phi_prev, psi_prev, psi_prev, params.theta_c, params.w)
 
-    def pointwise_coef(psi):
-        # The psi secant does not depend on the new psi: G is linear in psi.
-        return mdl.f_psi(psi, params.theta_psi)[2]
+    def pointwise(psi):
+        _, d1, d2 = mdl.f_psi(psi, params.theta_psi)
+        return d1 + gpsi, d2[None]
 
     mpsi = params.m_psi_const
     symbol = params.beta * grid.lam + grid.inv_lam / (mpsi * h)
     return _ch_solve(grid, psi_prev, conv_psi, h, mpsi, symbol, pointwise,
-                     pointwise_coef, (0.0, 1.0), b, tol, start, "psi Newton")
+                     (0.0, 1.0), b, tol, start, "psi Newton")
 
 
 def _solve_phi(grid, phi_prev, psi_new, conv_phi, reac, a, h, params: ModelParams,
-               tol: SolverTolerances, start=None) -> tuple[np.ndarray, np.ndarray, int]:
-    # A_N phi + sigma2 A_N^-1 phi + P0 (F' + Gphi) - mu_hat = 0.
+               tol: SolverTolerances, start=None) -> tuple[np.ndarray, np.ndarray, int, float]:
+    # A_N phi + sigma2 A_N^-1 phi + F' + Gphi = mu.
     def pointwise(phi):
-        return (mdl.f_phi(phi, params.theta_phi)[1]
-                + mdl.secant_g_phi(phi, phi_prev, psi_new, params.theta_c, params.w))
-
-    def pointwise_coef(phi):
-        return (mdl.f_phi(phi, params.theta_phi)[2]
-                + mdl.secant_g_phi_dfirst(phi, phi_prev, psi_new, params.theta_c, params.w))
+        _, d1, d2 = mdl.f_phi(phi, params.theta_phi)
+        return (d1 + mdl.secant_g_phi(phi, phi_prev, psi_new, params.theta_c, params.w),
+                (d2 + mdl.secant_g_phi_dfirst(phi, phi_prev, psi_new, params.theta_c,
+                                              params.w))[None])
 
     mphi = params.m_phi_const
     symbol = grid.lam + (1.0 / (mphi * h) + params.sigma2) * grid.inv_lam
     return _ch_solve(grid, phi_prev, conv_phi + reac, h, mphi, symbol, pointwise,
-                     pointwise_coef, (-1.0, 1.0), a, tol, start, "phi Newton")
+                     (-1.0, 1.0), a, tol, start, "phi Newton")
 
 
 def ch_subsystem_solve(
@@ -337,14 +333,16 @@ def ch_subsystem_solve(
     params: ModelParams,
     tol: SolverTolerances,
     start: tuple[ScalarField, ScalarField] | None = None,
-) -> tuple[ScalarField, ScalarField, ScalarField, ScalarField, NewtonReport]:
+) -> tuple[ScalarField, ScalarField, ChemicalPotentials, int, int]:
     """Solve the two order-parameter pairs with the velocity frozen.
 
-    Returns (phi, psi, mu_phi_hat, mu_psi_hat, report); means of phi, psi
-    equal the targets exactly and the mu_hat fields are zero-mean.  The
-    Newton solves start from prev shifted to the targets, or from
-    start = (phi, psi), which must lie strictly inside the bounds with the
-    target means (a previous return value does).
+    Returns (phi, psi, potentials, phi Newton count, psi Newton count); the
+    means of phi, psi equal the targets exactly, each mu_hat is zero-mean
+    and each mu is mu_hat plus the mean of its pointwise term at the
+    solution, as bounded_newton returns it.  The Newton solves start from
+    prev shifted to the targets, or from start = (phi, psi), which must lie
+    strictly inside the bounds with the target means (a previous return
+    value does).
     """
     grid = prev.phi.grid
     a, b = targets
@@ -354,45 +352,17 @@ def ch_subsystem_solve(
     conv_psi = _convective(u, prev.psi)
 
     phi0, psi0 = (None, None) if start is None else (start[0].data, start[1].data)
-    psi, mu_psi_hat, it_psi = _solve_psi(grid, prev.psi.data, prev.phi.data,
-                                         conv_psi, b, h, params, tol, psi0)
-    phi, mu_phi_hat, it_phi = _solve_phi(grid, prev.phi.data, psi, conv_phi,
-                                         reac, a, h, params, tol, phi0)
-    report = NewtonReport(iterations_phi=it_phi, iterations_psi=it_psi)
-    return (
-        ScalarField(grid, phi),
-        ScalarField(grid, psi),
-        ScalarField(grid, mu_phi_hat),
-        ScalarField(grid, mu_psi_hat),
-        report,
+    psi, mu_psi_hat, it_psi, c_psi = _solve_psi(grid, prev.psi.data, prev.phi.data,
+                                                conv_psi, b, h, params, tol, psi0)
+    phi, mu_phi_hat, it_phi, c_phi = _solve_phi(grid, prev.phi.data, psi, conv_phi,
+                                                reac, a, h, params, tol, phi0)
+    potentials = ChemicalPotentials(
+        mu_phi=ScalarField(grid, mu_phi_hat + c_phi),
+        mu_psi=ScalarField(grid, mu_psi_hat + c_psi),
+        mu_phi_hat=ScalarField(grid, mu_phi_hat),
+        mu_psi_hat=ScalarField(grid, mu_psi_hat),
     )
-
-
-def recover_physical_potentials(
-    phi: ScalarField,
-    psi: ScalarField,
-    phi_prev: ScalarField,
-    psi_prev: ScalarField,
-    mu_phi_hat: ScalarField,
-    mu_psi_hat: ScalarField,
-    params: ModelParams,
-) -> ChemicalPotentials:
-    """Shift the zero-mean solver potentials by the means they projected away."""
-    shift_phi = float(np.mean(mdl.f_phi(phi.data, params.theta_phi)[1])) + float(
-        np.mean(np.asarray(mdl.secant_g_phi(phi.data, phi_prev.data, psi.data,
-                                            params.theta_c, params.w)))
-    )
-    shift_psi = float(np.mean(mdl.f_psi(psi.data, params.theta_psi)[1])) + float(
-        np.mean(np.asarray(mdl.secant_g_psi(phi_prev.data, psi.data, psi_prev.data,
-                                            params.theta_c, params.w)))
-    )
-    grid = phi.grid
-    return ChemicalPotentials(
-        mu_phi=ScalarField(grid, mu_phi_hat.data + shift_phi),
-        mu_psi=ScalarField(grid, mu_psi_hat.data + shift_psi),
-        mu_phi_hat=mu_phi_hat,
-        mu_psi_hat=mu_psi_hat,
-    )
+    return ScalarField(grid, phi), ScalarField(grid, psi), potentials, it_phi, it_psi
 
 
 def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverTolerances,
@@ -409,8 +379,7 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
 
     # The previous Picard iterate starts the inner solves once there is one.
     phi = psi = u = None
-    newton = NewtonReport()
-    velocity_its = 0
+    newton_phi = newton_psi = velocity_its = 0
     for picard_it in range(1, tol.max_picard + 1):
         gmp = gridops.gradient(ScalarField(grid, mu_phi_hat))
         gms = gridops.gradient(ScalarField(grid, mu_psi_hat))
@@ -423,31 +392,29 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
                                    start=u)
         velocity_its = max(velocity_its, vel.outer_iterations)
 
-        phi_new, psi_new, mph, mps, its = ch_subsystem_solve(
+        phi_new, psi_new, potentials, it_phi, it_psi = ch_subsystem_solve(
             prev, u, targets, h, params, tol,
             start=None if phi is None else (phi, psi))
-        newton.iterations_phi = max(newton.iterations_phi, its.iterations_phi)
-        newton.iterations_psi = max(newton.iterations_psi, its.iterations_psi)
+        newton_phi = max(newton_phi, it_phi)
+        newton_psi = max(newton_psi, it_psi)
 
         change = max(
-            float(np.max(np.abs(mph.data - mu_phi_hat))),
-            float(np.max(np.abs(mps.data - mu_psi_hat))),
+            float(np.max(np.abs(potentials.mu_phi_hat.data - mu_phi_hat))),
+            float(np.max(np.abs(potentials.mu_psi_hat.data - mu_psi_hat))),
         )
         if phi is not None:
             change = max(change,
                          float(np.max(np.abs(phi_new.data - phi.data))),
                          float(np.max(np.abs(psi_new.data - psi.data))))
         phi, psi = phi_new, psi_new
-        mu_phi_hat, mu_psi_hat = mph.data, mps.data
+        mu_phi_hat, mu_psi_hat = potentials.mu_phi_hat.data, potentials.mu_psi_hat.data
         if change <= tol.picard_tol:
             break
     else:
         raise PicardStall("velocity/phase coupling did not converge")
 
-    potentials = recover_physical_potentials(
-        phi, psi, prev.phi, prev.psi,
-        ScalarField(grid, mu_phi_hat), ScalarField(grid, mu_psi_hat), params)
-    return u, phi, psi, potentials, picard_it, newton, velocity_its, targets
+    return (u, phi, psi, potentials, picard_it, newton_phi, newton_psi, velocity_its,
+            targets)
 
 
 def coupled_time_step(
@@ -467,8 +434,9 @@ def coupled_time_step(
     h_try = h
     while True:
         try:
-            (u, phi, psi, potentials, picard_it, newton, velocity_its,
-             targets) = _attempt_step(prev, h_try, params, tol, init_potentials)
+            (u, phi, psi, potentials, picard_it, newton_phi, newton_psi,
+             velocity_its, targets) = _attempt_step(prev, h_try, params, tol,
+                                                    init_potentials)
             break
         except PicardStall:
             if halvings >= 5:
@@ -497,8 +465,8 @@ def coupled_time_step(
 
     report = StepReport(
         picard_iterations=picard_it,
-        newton_iterations_phi=newton.iterations_phi,
-        newton_iterations_psi=newton.iterations_psi,
+        newton_iterations_phi=newton_phi,
+        newton_iterations_psi=newton_psi,
         velocity_iterations=velocity_its,
         energy_before=e_before,
         energy_after=e_after,

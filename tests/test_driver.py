@@ -414,6 +414,21 @@ def test_cli_io_failure_exit_code(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("nx, ny, nbytes", [(0, 16, 0), (3, 16, 384), (-1, -1, 8)])
+def test_cli_snapshot_naming_an_invalid_grid_is_an_io_failure(tmp_path, nx, ny, nbytes):
+    # Payload length and checksum match the header, so only the grid is wrong.
+    payload = bytes(nbytes)
+    path = tmp_path / "bad.snap"
+    path.write_bytes(f"CHDF1 {nx} {ny} 1 1 0 phi {driver._fnv1a64(payload):016x}\n"
+                     .encode("ascii") + payload)
+    with pytest.raises(SnapshotFormatError, match="bad.snap"):
+        driver.read_snapshot(str(path))
+    cfg_path = _write(tmp_path / "snap.cfg", MINIMAL.replace(
+        "preset = homogeneous",
+        f"preset = snapshot\nphi_path = {path}\npsi_path = {path}"))
+    assert cli.main(["run", cfg_path, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_IO
+
+
 def test_cli_check_passes(tmp_path):
     cfg_path = _write(tmp_path / "c.cfg", MINIMAL)
     assert cli.main(["check", cfg_path]) == 0

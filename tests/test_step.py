@@ -315,6 +315,45 @@ def test_flux_and_pointwise_laws_hold_with_transport():
     assert close(pots.mu_phi.data, rhs)
 
 
+def test_constitutive_kernels_run_once_per_residual_evaluation(grid, monkeypatch):
+    calls = {"f_phi": 0, "f_psi": 0}
+
+    def counted(name):
+        kernel = getattr(mdl, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(mdl, name, counted(name))
+    params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
+    state = _band_state(grid)
+    targets = mean_targets(state.phi, state.psi, 0.1, params)
+    _, _, _, it_phi, it_psi = ch_subsystem_solve(state, state.u, targets, 0.1, params,
+                                                 SolverTolerances())
+    assert it_phi > 1 and it_psi > 1
+    assert calls == {"f_phi": it_phi, "f_psi": it_psi}
+
+    evaluations = []
+    newton = diagnostics.bounded_newton
+
+    def spied(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        evaluations.append(out[1])
+        return out
+
+    monkeypatch.setattr(diagnostics, "bounded_newton", spied)
+    calls.update(f_phi=0, f_psi=0)
+    X, Y = grid.cell_centers()
+    pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
+    diagnostics.stationary_solve(0.1, 0.5, (ScalarField(grid, 0.1 + pert),
+                                            ScalarField(grid, 0.5 - pert)), params)
+    assert len(evaluations) == 1 and evaluations[0] > 1
+    assert calls == {"f_phi": evaluations[0], "f_psi": evaluations[0]}
+
+
 def test_inner_solve_failure_names_its_solve(grid, monkeypatch):
     def failing_lgmres(A, b, **kwargs):
         return np.zeros_like(b), 1
@@ -376,9 +415,9 @@ def test_inner_solves_follow_the_forcing_rule(grid, monkeypatch):
     solves = []
     newton, lgmres = step.bounded_newton, step.lgmres
 
-    def marked(x, residual, jacobian_coef, symbol, boxes, means, tol, *args, **kwargs):
+    def marked(x, pointwise, symbol, k_hat, boxes, means, tol, *args, **kwargs):
         solves.append((tol, []))
-        return newton(x, residual, jacobian_coef, symbol, boxes, means, tol,
+        return newton(x, pointwise, symbol, k_hat, boxes, means, tol,
                       *args, **kwargs)
 
     def spied(A, b, **kwargs):
