@@ -13,15 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import grid as gridops
 from .errors import NonConvergence
-from .grid import ScalarField, VectorField
+from .grid import ScalarField, VectorField, pcg
 from .model import ModelParams
 
 _MAX_ROOT_ITER = 200
 _MAX_NEWTON = 50
+# Matvec cap of each linear solve, the budget of the lgmres that CG replaced
+# (50 restart cycles of 30).
+_MAX_CG = 1500
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,14 @@ def velocity_solve(
     projection, u is the solenoidal field with P((c1 + k) u - f) = 0,
     k = eta |u|^(r-2).  Newton-Krylov on solenoidal fields: the start is P
     of the pointwise radial root along Pf, or start when given (it must be
-    solenoidal, as a returned u is), each linear solve uses the exact drag
-    Jacobian (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, and the
-    iteration stops once max|R| <= tol (1 + max|f|) for the projected
-    residual R.  pi is minus the potential part of that residual, so u has
-    zero normal trace and round-off divergence, and pi has zero mean.
+    solenoidal, as a returned u is), each linear solve is CG (`grid.pcg`)
+    to relative residual 1e-3 on the exact drag Jacobian
+    (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, symmetric positive
+    definite on solenoidal fields, with the scalar preconditioner
+    1/(c1 + mean k), and the iteration stops once max|R| <= tol (1 + max|f|)
+    for the projected residual R.  pi is minus the potential part of that
+    residual, so u has zero normal trace and round-off divergence, and pi
+    has zero mean.
     """
     grid = u_prev.grid
     if h <= 0:
@@ -109,8 +114,6 @@ def velocity_solve(
         s = m / np.where(gmag > 0, gmag, 1.0)
         u = gridops.project_velocity(VectorField(grid, s * pf.x, s * pf.y))
 
-    shape = (2, grid.ny, grid.nx)
-    n = 2 * grid.nx * grid.ny
     for it in range(1, _MAX_NEWTON + 2):
         mag = np.hypot(u.x, u.y)
         k = eta * mag ** (r - 2)
@@ -127,19 +130,16 @@ def velocity_solve(
         radial = (r - 2) * k
 
         def matvec(v):
-            vx, vy = v.reshape(shape)
+            vx, vy = v
             t = radial * (ex * vx + ey * vy)
             jv = gridops.project_velocity(
                 VectorField(grid, (c1 + k) * vx + t * ex, (c1 + k) * vy + t * ey))
-            return np.concatenate((jv.x.ravel(), jv.y.ravel()))
+            return np.stack((jv.x, jv.y))
 
         # Scalar preconditioner: the mean isotropic drag coefficient.
         cbar = c1 + float(np.mean(k))
-        A = LinearOperator((n, n), matvec=matvec)
-        M = LinearOperator((n, n), matvec=lambda v: v / cbar)
-        rhs = -np.concatenate((R.x.ravel(), R.y.ravel()))
-        du, _ = lgmres(A, rhs, M=M, rtol=1e-3, atol=0.0, maxiter=50)
-        dx, dy = du.reshape(shape)
+        (dx, dy), _ = pcg(matvec, lambda v: v / cbar, -np.stack((R.x, R.y)),
+                          1e-3, _MAX_CG)
         u = VectorField(grid, u.x + dx, u.y + dy)
 
     pi = -p.data

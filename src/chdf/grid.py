@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
-from .errors import MeanNotZero
+from .errors import MeanNotZero, NewtonDivergence
 
 # Worker count for the transforms; None means library default.
 _workers: int | None = None
@@ -309,3 +309,42 @@ def project_velocity(v: VectorField) -> VectorField:
     """Divergence-free part of v (Helmholtz projection, pressure dropped)."""
     u, _ = helmholtz_project(v)
     return u
+
+
+# ---------------------------------------------------------------------------
+# Linear solver
+# ---------------------------------------------------------------------------
+
+def pcg(matvec, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients for A x = b on arrays of b's shape.
+
+    A (matvec) is symmetric and precond symmetric positive definite on the
+    space the iterates span; np.vdot gives the inner products.  From x = 0 it
+    stops once the recursively updated residual has |r| <= rtol |b| and
+    returns (x, 0), or (x, maxiter) when capped; a zero b gives zeros.  A may
+    be indefinite (a constrained saddle point is), so a direction with
+    p.Ap < 0 is taken like any other (Hestenes & Stiefel, J. Res. NBS 49
+    (1952) 409); only an exact breakdown, p.Ap == 0 or not finite, raises.
+    """
+    x = np.zeros_like(b)
+    if not b.any():
+        return x, 0
+    stop = (rtol * np.linalg.norm(b)) ** 2
+    r = b
+    z = precond(r)
+    p = z
+    rz = np.vdot(r, z)
+    for it in range(1, maxiter + 1):
+        q = matvec(p)
+        pq = np.vdot(p, q)
+        if pq == 0.0 or not np.isfinite(pq):
+            raise NewtonDivergence(f"CG breakdown at iteration {it}: p.Ap = {pq:.3e}")
+        a = rz / pq
+        x += a * p
+        r = r - a * q          # not in place: precond may return r itself
+        if np.vdot(r, r) <= stop:
+            return x, 0
+        z = precond(r)
+        rz, rz_prev = np.vdot(r, z), rz
+        p = z + (rz / rz_prev) * p
+    return x, maxiter

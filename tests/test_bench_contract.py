@@ -7,11 +7,15 @@ rename in the package would break every traced or steady benchmark run.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import chdf
+from chdf import darcy
 from chdf import diagnostics as diag
 from chdf import step
 from chdf.darcy import velocity_solve
@@ -77,3 +81,48 @@ def test_stationary_solve_calls_krylov_once_per_update(monkeypatch):
     # One damped update per field (phi, psi) per Newton update.
     assert calls["krylov"] >= 1
     assert calls["damped"] == 2 * calls["krylov"]
+
+
+def test_tracer_krylov_sees_darcy_ch_and_stationary_solves(monkeypatch):
+    # tracing.install replaces every chdf module attribute that is the
+    # object at step.lgmres; here each one counts its calls by caller.
+    assert step.lgmres is darcy.pcg is step.pcg
+    original = step.lgmres
+    callers = []
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "chdf" or name.startswith("chdf."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    grid = Grid2D(16, 16, 1.0, 1.0)
+    X, Y = grid.cell_centers()
+    force = VectorField(grid, np.sin(np.pi * X) * np.cos(np.pi * Y),
+                        -np.cos(np.pi * X) * np.sin(np.pi * Y))
+    velocity_solve(VectorField.zero(grid), force, 1e-3, ModelParams())
+    assert callers and set(callers) == {"chdf.darcy"}
+    pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
+    prev = step.State(VectorField.zero(grid), ScalarField(grid, pert),
+                      ScalarField(grid, 0.5 - pert))
+    del callers[:]
+    step.coupled_time_step(prev, 1e-3, ModelParams(w=1.0, theta_c=1.0),
+                           step.SolverTolerances())
+    assert "chdf.step" in callers
+    del callers[:]
+    seed = (ScalarField(grid, 0.1 + pert), ScalarField(grid, 0.5 - pert))
+    diag.stationary_solve(0.1, 0.5, seed, ModelParams(w=1.0, theta_c=1.0))
+    assert callers and set(callers) == {"chdf.step"}
+
+
+def test_import_leaves_scipy_sparse_out():
+    # scipy.sparse would add to the import time and peak RSS that setup_s
+    # and peak_rss_mb measure; no module of the package needs it.
+    code = "import sys, chdf; print('scipy.sparse' in sys.modules)"
+    src = str(Path(chdf.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chdf import grid as gridops
-from chdf.errors import MeanNotZero
+from chdf.errors import MeanNotZero, NewtonDivergence
 from chdf.grid import (Grid2D, ScalarField, VectorField, cc_fwd, cc_inv,
-                       cs_fwd, cs_inv, sc_fwd, sc_inv)
+                       cs_fwd, cs_inv, pcg, sc_fwd, sc_inv)
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +179,69 @@ def test_threads_setting_roundtrip(monkeypatch):
     assert gridops._workers == 2
     gridops.set_num_threads(0)
     assert gridops._workers == os.cpu_count()
+
+
+def _symmetric(eigenvalues, seed=0):
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q @ np.diag(eigenvalues) @ q.T
+
+
+def test_pcg_solves_spd_system_to_rtol():
+    A = _symmetric(np.linspace(1.0, 50.0, 12))
+    b = np.random.default_rng(1).standard_normal((2, 3, 2))
+    diag = np.diag(A).reshape(b.shape)
+    # pcg works on arrays of the rhs's shape; A acts on their flattening.
+    x, info = pcg(lambda v: (A @ v.ravel()).reshape(b.shape), lambda r: r / diag,
+                  b, 1e-10, 100)
+    exact = np.linalg.solve(A, b.ravel())
+    assert info == 0 and x.shape == b.shape
+    assert np.linalg.norm(A @ x.ravel() - b.ravel()) <= 1e-9 * np.linalg.norm(b)
+    assert np.linalg.norm(x.ravel() - exact) <= 50 * 1e-9 * np.linalg.norm(exact)
+
+
+def test_pcg_takes_negative_curvature_on_indefinite_system():
+    A = _symmetric([-4.0, -1.5, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0])
+    b = np.random.default_rng(2).standard_normal(8)
+    curvature = []
+
+    def matvec(p):
+        q = A @ p
+        curvature.append(np.vdot(p, q))
+        return q
+
+    x, info = pcg(matvec, lambda r: r, b, 1e-10, 100)
+    exact = np.linalg.solve(A, b)
+    assert info == 0
+    assert min(curvature) < 0.0
+    assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
+    assert np.linalg.norm(x - exact) <= 16 * 1e-9 * np.linalg.norm(exact)
+
+
+def test_pcg_zero_rhs_gives_zeros():
+    def matvec(p):
+        raise AssertionError("no matvec for a zero rhs")
+
+    x, info = pcg(matvec, lambda r: r, np.zeros((2, 4)), 1e-3, 10)
+    assert info == 0 and x.shape == (2, 4) and not x.any()
+
+
+def test_pcg_reports_its_cap():
+    A = _symmetric(np.logspace(0, 6, 12))
+    b = np.ones(12)
+    calls = []
+
+    def matvec(p):
+        calls.append(1)
+        return A @ p
+
+    x, info = pcg(matvec, lambda r: r, b, 1e-12, 3)
+    assert info == 3 and len(calls) == 3
+    assert np.linalg.norm(A @ x - b) > 1e-12 * np.linalg.norm(b)
+
+
+def test_pcg_raises_on_exact_breakdown():
+    A = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # The first direction is b itself, and b.Ab = 0.
+    with pytest.raises(NewtonDivergence, match="breakdown"):
+        pcg(lambda p: A @ p, lambda r: r, np.array([1.0, 0.0]), 1e-8, 10)
