@@ -137,8 +137,8 @@ def stationary_solve(
     """Solve the stationary elliptic system at prescribed means.
 
     Unknowns are the zero-mean parts of (phi, psi), and the equations are
-    L x + p(x) = mu_inf with L = (A_N + sigma2 A_N^-1, beta A_N) cosine
-    diagonal and p = (F_phi' + dG/dphi, F_psi' + dG/dpsi) pointwise:
+    L x + p(x) = mu_inf with L the energy operator (`model.quadratic_symbol`)
+    and p = (F_phi' + dG/dphi, F_psi' + dG/dpsi) pointwise:
     `bounded_newton` with k_hat = 0, and one kernel that gives p and its
     Jacobian, its Krylov solve run to the Eisenstat-Walker tolerance there.
     The constant chemical potentials mu_inf are the Lagrange multipliers of
@@ -151,8 +151,6 @@ def stationary_solve(
         raise ValidationError("psi_mass must lie in the open interval (0, 1)")
     phi_seed, psi_seed = seed
     grid = phi_seed.grid
-    sig2 = params.sigma2
-    symbol = np.stack([grid.lam + sig2 * grid.inv_lam, params.beta * grid.lam])
 
     def pointwise(x):
         phi, psi = x
@@ -169,7 +167,8 @@ def stationary_solve(
     # The linear solve goes through this module's _krylov_solve so that one
     # call here is one Newton update for anything that wraps that name.
     (phi, psi), _, (mu_phi_inf, mu_psi_inf) = bounded_newton(
-        x0, pointwise, symbol, 0.0, [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass],
+        x0, pointwise, mdl.quadratic_symbol(grid, params), 0.0,
+        [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass],
         tol, max_newton, krylov=_krylov_solve, label="stationary solve")
     return EquilibriumSolution(
         phi_inf=ScalarField(grid, phi),

@@ -166,6 +166,18 @@ def load_config(path: str) -> RunConfig:
         raise ValidationError("mean_psi must lie in the open interval (0, 1)")
     if not 0.0 <= cfg.noise_amplitude <= 0.05:
         raise ValidationError("noise_amplitude must lie in [0, 0.05]")
+    if cfg.width <= 0:
+        raise ValidationError("width must be > 0")
+    if cfg.seed < 0:
+        raise ValidationError("seed must be >= 0")
+    # The noise reaches +-noise_amplitude about each mean at some cell.
+    noise = cfg.noise_amplitude
+    if cfg.preset == "random_spinodal" and not (
+            abs(cfg.mean_phi) + noise < 1.0 and noise < cfg.mean_psi < 1.0 - noise):
+        raise ValidationError(
+            f"random_spinodal: mean_phi = {cfg.mean_phi:g} and mean_psi = "
+            f"{cfg.mean_psi:g} must lie noise_amplitude = {noise:g} inside "
+            f"(-1, 1) and (0, 1)")
     return cfg
 
 

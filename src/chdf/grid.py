@@ -245,11 +245,6 @@ def integral(f: ScalarField) -> float:
     return float(np.sum(f.data)) * f.grid.cell_area
 
 
-def inner(f: ScalarField, g: ScalarField) -> float:
-    """Discrete L2 inner product (midpoint quadrature of f*g)."""
-    return float(np.sum(f.data * g.data)) * f.grid.cell_area
-
-
 def gradient(f: ScalarField) -> VectorField:
     """Spectral gradient, collocated at cell centers."""
     gx, gy = _grad_coeffs(f.grid, cc_fwd(f.data))
@@ -257,9 +252,10 @@ def gradient(f: ScalarField) -> VectorField:
 
 
 def grad_norm_sq(f: ScalarField) -> float:
-    """Squared L2 norm of the spectral gradient of f."""
-    g = gradient(f)
-    return float(np.sum(g.x ** 2 + g.y ** 2)) * f.grid.cell_area
+    """Midpoint sum of |gradient(f)|^2, by Parseval: sum(lam c^2) hx hy with
+    c the orthonormal cosine coefficients of f."""
+    c = cc_fwd(f.data, norm="ortho")
+    return float(np.sum(f.grid.lam * c * c)) * f.grid.cell_area
 
 
 def divergence(v: VectorField) -> ScalarField:
@@ -286,9 +282,10 @@ def inverse_neumann_laplacian(f: ScalarField) -> ScalarField:
 
 
 def hminus1_norm_sq(f: ScalarField) -> float:
-    """Squared H^-1 seminorm: <f, invLap f> = ||grad(invLap f)||^2."""
+    """Squared H^-1 seminorm <f, invLap f>: sum(inv_lam c^2) hx hy, by Parseval."""
     _check_zero_mean(f)
-    return inner(f, ScalarField(f.grid, inv_neg_lap(f.grid, f.data)))
+    c = cc_fwd(f.data, norm="ortho")
+    return float(np.sum(f.grid.inv_lam * c * c)) * f.grid.cell_area
 
 
 def helmholtz_project(v: VectorField) -> tuple[VectorField, ScalarField]:

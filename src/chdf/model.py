@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid as gridops
 from .errors import OutOfDomain, ValidationError
-from .grid import ScalarField
+from .grid import Grid2D, ScalarField, cc_fwd
 
 
 @dataclass(frozen=True)
@@ -187,26 +186,29 @@ def secant_g_psi_dfirst(c_arg, a, b, theta_c: float = 0.0, w: float = 0.0):
 # Energies
 # ---------------------------------------------------------------------------
 
+def quadratic_symbol(grid: Grid2D, params: ModelParams) -> np.ndarray:
+    """Cosine symbol of the energy operator L, shape (2, ny, nx).
+
+    The free energy of x = (phi, psi) is 1/2 <x, L x> plus the pointwise
+    densities, with L = (A_N + sigma2 A_N^-1, beta A_N), A_N = -Laplacian
+    with Neumann data.  Both entries vanish on the constant mode.
+    """
+    return np.stack([grid.lam + params.sigma2 * grid.inv_lam, params.beta * grid.lam])
+
+
 def free_energy(phi: ScalarField, psi: ScalarField, params: ModelParams) -> float:
-    """Interfacial + entropic + nonlocal + coupling energy (midpoint sums)."""
+    """1/2 <x, L x> + sum(F_phi + F_psi + G), both by midpoint sums.
+
+    The quadratic part is a Parseval sum over the orthonormal cosine
+    coefficients of x = (phi, psi); L is zero on the constant mode, so the
+    nonlocal term sees only the deviation of phi from its mean.
+    """
     grid = phi.grid
-    fphi_val = f_phi(phi.data, params.theta_phi)[0]
-    fpsi_val = f_psi(psi.data, params.theta_psi)[0]
-    g_val = coupling_g(phi.data, psi.data, params.theta_c, params.w)[0]
-    gphi = gridops.gradient(phi)
-    gpsi = gridops.gradient(psi)
-    density = (
-        0.5 * (gphi.x ** 2 + gphi.y ** 2)
-        + fphi_val
-        + 0.5 * params.beta * (gpsi.x ** 2 + gpsi.y ** 2)
-        + fpsi_val
-        + g_val
-    )
-    e = float(np.sum(density)) * grid.cell_area
-    if params.sigma2 > 0:
-        dev = ScalarField(grid, phi.data - gridops.mean(phi))
-        e += 0.5 * params.sigma2 * gridops.hminus1_norm_sq(dev)
-    return e
+    c = cc_fwd(np.stack([phi.data, psi.data]), norm="ortho")
+    density = (f_phi(phi.data, params.theta_phi)[0] + f_psi(psi.data, params.theta_psi)[0]
+               + coupling_g(phi.data, psi.data, params.theta_c, params.w)[0])
+    return (0.5 * float(np.sum(quadratic_symbol(grid, params) * c * c))
+            + float(np.sum(density))) * grid.cell_area
 
 
 def kinetic_energy(u, params: ModelParams) -> float:

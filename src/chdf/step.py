@@ -7,11 +7,14 @@ the stationary problem in `diagnostics`, is one nonlinear equation for the
 zero-mean part of the unknown: a cosine-diagonal operator on it, a
 coefficient constant fixed for the solve, and a pointwise constitutive
 term whose mean, the Lagrange multiplier of the mean constraint, is the
-constant part of the chemical potential.  `bounded_newton` forms that
-residual from one pointwise kernel call per evaluation, solves it by
-projected Newton with a conjugate-gradient solve of the symmetric Jacobian
-on the orthonormal cosine coefficients of the correction (diagonal
-preconditioner, Eisenstat-Walker relative tolerance), and returns the mean
+constant part of the chemical potential.  The operator is the energy
+operator L of `model.quadratic_symbol`, plus inv_lam/(m h) for a pair of
+mobility m.  `bounded_newton` forms that residual from one pointwise kernel
+call per evaluation, solves it by projected Newton with a
+conjugate-gradient solve of the symmetric Jacobian on the orthonormal
+cosine coefficients of the correction (diagonal preconditioner,
+Eisenstat-Walker relative tolerance) down to the tolerance or the
+round-off floor of the operator, whichever is larger, and returns the mean
 with the solution.
 A Picard loop closes the velocity coupling: the velocity comes from
 `darcy.velocity_solve`, solenoidal as returned.  From the second Picard
@@ -178,6 +181,14 @@ ETA_MAX = 0.01
 EW_GAMMA = 0.9
 
 
+# Multiple of eps max(symbol) max|x|, the round-off in the residual's
+# symbol*x term, below which bounded_newton does not ask max|F| to fall
+# (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+# ch. 5).  A factor of 1 still leaves some L = 1 solves updating at
+# round-off until max_newton.
+ROUNDOFF_FACTOR = 4.0
+
+
 # Matvec cap of each inner solve, the budget of the lgmres that CG replaced
 # (200 restart cycles of 30), so that no solve is cut shorter than it was.
 KRYLOV_MAXITER = 6000
@@ -231,16 +242,20 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
     mean (`_damped_update`: the whole correction when it moves no cell by
     more than 90 percent of its room), after which the mean is re-imposed
     against round-off.  Up to max_newton updates are taken, stopping once
-    max|F(x)| <= tol.  Returns (x, number of residual evaluations, the mean
+    max|F(x)| <= max(tol, ROUNDOFF_FACTOR eps max(symbol) max|x|): the second
+    term is the round-off that the high modes of symbol*x carry, below which
+    an absolute tol cannot be met when the symbol is large (fine grids, small
+    domains).  Returns (x, number of residual evaluations, the mean
     of each field of p at the returned x).
     """
     x = np.array(x, dtype=float)
+    floor = ROUNDOFF_FACTOR * np.finfo(float).eps * float(np.max(symbol))
     for it in range(1, max_newton + 2):
         p, C = pointwise(x)
         pbar = p.mean(axis=(-2, -1), keepdims=True)
         R = cc_inv(symbol * cc_fwd(x) + k_hat) + (p - pbar)
         res = float(np.max(np.abs(R)))
-        if res <= tol:
+        if res <= max(tol, floor * float(np.max(np.abs(x)))):
             return x, it, pbar.ravel()
         if it > max_newton:
             raise NewtonDivergence(f"{label} did not converge: residual "
@@ -279,61 +294,6 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
 # Cahn-Hilliard subsystem (velocity frozen)
 # ---------------------------------------------------------------------------
 
-def _ch_solve(grid, x_prev, source, h, mobility, symbol, pointwise, box, target,
-              tol: SolverTolerances, start,
-              label) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Solve one order-parameter pair; return (x, mu_hat, Newton count, mu - mu_hat).
-
-    mu_hat is the zero-mean potential of the discrete flux law
-    (x - x_prev)/h + source = -mobility A_N mu_hat, A_N = -Laplacian, so in
-    cosine coefficients -mu_hat = inv_lam x/(mobility h) + k_hat with k_hat
-    fixed for the solve.  The pointwise law mu = L x + p(x), L the pair's
-    cosine-diagonal operator, leaves for bounded_newton the residual
-    cc_inv(symbol cc_fwd(x) + k_hat) + P0 p(x), symbol = L + inv_lam/(mobility h),
-    with pointwise the bounded_newton kernel of the (1, ny, nx) stack.  The
-    constant mu - mu_hat is the mean of p that bounded_newton returns.
-    """
-    k_hat = grid.inv_lam * cc_fwd(source - x_prev / h) / mobility
-    if start is None:
-        start = x_prev + (target - x_prev.mean())
-    (x,), iters, (pbar,) = bounded_newton(
-        start[None], pointwise, symbol[None], k_hat, [box], [target],
-        tol.newton_tol, tol.max_newton, label=label)
-    mu_hat = -cc_inv(grid.inv_lam * cc_fwd(x) / (mobility * h) + k_hat)
-    return x, mu_hat, iters, pbar
-
-
-def _solve_psi(grid, psi_prev, phi_prev, conv_psi, b, h, params: ModelParams,
-               tol: SolverTolerances, start=None) -> tuple[np.ndarray, np.ndarray, int, float]:
-    # beta*A_N psi + F' + Gpsi = mu.  The psi secant does not depend on
-    # the new psi (G is linear in psi), so it is evaluated once.
-    gpsi = mdl.secant_g_psi(phi_prev, psi_prev, psi_prev, params.theta_c, params.w)
-
-    def pointwise(psi):
-        _, d1, d2 = mdl.f_psi(psi, params.theta_psi)
-        return d1 + gpsi, d2[None]
-
-    mpsi = params.m_psi_const
-    symbol = params.beta * grid.lam + grid.inv_lam / (mpsi * h)
-    return _ch_solve(grid, psi_prev, conv_psi, h, mpsi, symbol, pointwise,
-                     (0.0, 1.0), b, tol, start, "psi Newton")
-
-
-def _solve_phi(grid, phi_prev, psi_new, conv_phi, reac, a, h, params: ModelParams,
-               tol: SolverTolerances, start=None) -> tuple[np.ndarray, np.ndarray, int, float]:
-    # A_N phi + sigma2 A_N^-1 phi + F' + Gphi = mu.
-    def pointwise(phi):
-        _, d1, d2 = mdl.f_phi(phi, params.theta_phi)
-        return (d1 + mdl.secant_g_phi(phi, phi_prev, psi_new, params.theta_c, params.w),
-                (d2 + mdl.secant_g_phi_dfirst(phi, phi_prev, psi_new, params.theta_c,
-                                              params.w))[None])
-
-    mphi = params.m_phi_const
-    symbol = grid.lam + (1.0 / (mphi * h) + params.sigma2) * grid.inv_lam
-    return _ch_solve(grid, phi_prev, conv_phi + reac, h, mphi, symbol, pointwise,
-                     (-1.0, 1.0), a, tol, start, "phi Newton")
-
-
 def ch_subsystem_solve(
     prev: State,
     u: VectorField,
@@ -345,6 +305,16 @@ def ch_subsystem_solve(
 ) -> tuple[ScalarField, ScalarField, ChemicalPotentials, int, int]:
     """Solve the two order-parameter pairs with the velocity frozen.
 
+    Pair i, x = psi or phi with mobility m, has the zero-mean potential
+    mu_hat of the discrete flux law (x - x_prev)/h + source = -m A_N mu_hat,
+    A_N = -Laplacian, so in cosine coefficients -mu_hat = inv_lam x/(m h) +
+    k_hat with k_hat fixed for the solve.  The pointwise law mu = L[i] x +
+    p(x), L the energy operator (`model.quadratic_symbol`), leaves for
+    bounded_newton the residual cc_inv(symbol cc_fwd(x) + k_hat) + P0 p(x)
+    with symbol = L[i] + inv_lam/(m h).  The psi pair goes first: its
+    coupling secant freezes phi at the old step, while the phi pair's
+    secant takes the new psi.
+
     Returns (phi, psi, potentials, phi Newton count, psi Newton count); the
     means of phi, psi equal the targets exactly, each mu_hat is zero-mean
     and each mu is mu_hat plus the mean of its pointwise term at the
@@ -354,17 +324,41 @@ def ch_subsystem_solve(
     value does).
     """
     grid = prev.phi.grid
-    a, b = targets
-    phibar_prev = gridops.mean(prev.phi)
-    reac = params.sigma1 * (phibar_prev - params.c)
-    conv_phi = _convective(u, prev.phi)
-    conv_psi = _convective(u, prev.psi)
+    symbol = mdl.quadratic_symbol(grid, params)
+    phi_prev, psi_prev = prev.phi.data, prev.psi.data
+    th, w = params.theta_c, params.w
+    # G is linear in psi, so the psi secant does not depend on the new psi.
+    g_psi = mdl.secant_g_psi(phi_prev, psi_prev, psi_prev, th, w)
 
+    def psi_kernel(x):
+        _, d1, d2 = mdl.f_psi(x, params.theta_psi)
+        return d1 + g_psi, d2[None]
+
+    def phi_kernel(x):
+        _, d1, d2 = mdl.f_phi(x, params.theta_phi)
+        # psi is the new psi: the psi pair is solved before this runs.
+        return (d1 + mdl.secant_g_phi(x, phi_prev, psi, th, w),
+                (d2 + mdl.secant_g_phi_dfirst(x, phi_prev, psi, th, w))[None])
+
+    def solve_pair(i, x_prev, source, m, pointwise, box, target, x0, label):
+        k_hat = grid.inv_lam * cc_fwd(source - x_prev / h) / m
+        if x0 is None:
+            x0 = x_prev + (target - x_prev.mean())
+        (x,), iters, (pbar,) = bounded_newton(
+            x0[None], pointwise, symbol[i:i + 1] + grid.inv_lam / (m * h), k_hat,
+            [box], [target], tol.newton_tol, tol.max_newton, label=label)
+        mu_hat = -cc_inv(grid.inv_lam * cc_fwd(x) / (m * h) + k_hat)
+        return x, mu_hat, iters, pbar
+
+    a, b = targets
+    reac = params.sigma1 * (gridops.mean(prev.phi) - params.c)
     phi0, psi0 = (None, None) if start is None else (start[0].data, start[1].data)
-    psi, mu_psi_hat, it_psi, c_psi = _solve_psi(grid, prev.psi.data, prev.phi.data,
-                                                conv_psi, b, h, params, tol, psi0)
-    phi, mu_phi_hat, it_phi, c_phi = _solve_phi(grid, prev.phi.data, psi, conv_phi,
-                                                reac, a, h, params, tol, phi0)
+    psi, mu_psi_hat, it_psi, c_psi = solve_pair(
+        1, psi_prev, _convective(u, prev.psi), params.m_psi_const, psi_kernel,
+        (0.0, 1.0), b, psi0, "psi Newton")
+    phi, mu_phi_hat, it_phi, c_phi = solve_pair(
+        0, phi_prev, _convective(u, prev.phi) + reac, params.m_phi_const, phi_kernel,
+        (-1.0, 1.0), a, phi0, "phi Newton")
     potentials = ChemicalPotentials(
         mu_phi=ScalarField(grid, mu_phi_hat + c_phi),
         mu_psi=ScalarField(grid, mu_psi_hat + c_psi),

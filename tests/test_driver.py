@@ -119,6 +119,41 @@ def test_non_numeric_value_is_parse_error(tmp_path):
             driver.load_config(_write(tmp_path / "g.cfg", bad))
 
 
+def test_negative_seed_rejected(tmp_path):
+    # numpy refuses a negative seed, which crashed the run with a traceback.
+    bad = MINIMAL.replace("preset = homogeneous", "preset = random_spinodal\nseed = -1")
+    path = _write(tmp_path / "s.cfg", bad)
+    with pytest.raises(ValidationError, match="seed"):
+        driver.load_config(path)
+    assert cli.main(["run", path, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_VALIDATION
+
+
+def test_nonpositive_width_rejected(tmp_path):
+    # The stripe divides by width: zero ran to exit 0 on an infinite slope.
+    for width in ("0", "-0.1"):
+        bad = MINIMAL.replace("preset = homogeneous", f"preset = stripe\nwidth = {width}")
+        with pytest.raises(ValidationError, match="width"):
+            driver.load_config(_write(tmp_path / "w.cfg", bad))
+
+
+def test_random_spinodal_noise_must_fit_inside_the_bounds(tmp_path):
+    # The noise peaks at noise_amplitude: mean_phi = 0.97 put a cell of phi
+    # past 1, which the run reported as a solver failure (exit 3).
+    for mean in ("mean_phi = 0.97", "mean_phi = -0.96", "mean_psi = 0.03"):
+        bad = MINIMAL.replace("preset = homogeneous\nmean_phi = 0.2",
+                              f"preset = random_spinodal\n{mean}")
+        path = _write(tmp_path / "n.cfg", bad)
+        with pytest.raises(ValidationError) as exc:
+            driver.load_config(path)
+        for name in ("random_spinodal", "mean_phi", "mean_psi", "noise_amplitude"):
+            assert name in str(exc.value)
+        out = tmp_path / "o"
+        assert cli.main(["run", path, "--output-dir", str(out)]) == cli.EXIT_VALIDATION
+    ok = MINIMAL.replace("preset = homogeneous\nmean_phi = 0.2",
+                         "preset = random_spinodal\nmean_phi = 0.94")
+    assert driver.load_config(_write(tmp_path / "ok.cfg", ok)).mean_phi == 0.94
+
+
 # ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------
@@ -376,6 +411,45 @@ width = 0.1
     assert snaps == ["state_phi_00000006.snap", "state_psi_00000006.snap"]
     _, t, _ = driver.read_snapshot(os.path.join(cfg.output_dir, snaps[0]))
     assert t == pytest.approx(5e-3, abs=1e-15)
+
+
+UNIT_MODEL = """
+[model]
+alpha = 1.0
+w = 1.0
+theta_c = 2.0
+sigma2 = 0.1
+"""
+
+
+def _drop_snapshots(tmp_path, grid):
+    # An elliptical interface and one surfactant cosine mode.
+    X, Y = grid.cell_centers()
+    rho = np.sqrt(((X - 0.5) / 0.3) ** 2 + ((Y - 0.5) / 0.18) ** 2)
+    paths = str(tmp_path / "phi0.snap"), str(tmp_path / "psi0.snap")
+    driver.write_snapshot(paths[0], ScalarField(grid, 0.9 * np.tanh((1 - rho) / 0.15)),
+                          0.0, "phi")
+    driver.write_snapshot(paths[1], ScalarField(
+        grid, 0.5 + 0.2 * np.cos(np.pi * X) * np.cos(np.pi * Y)), 0.0, "psi")
+    return f"preset = snapshot\nphi_path = {paths[0]}\npsi_path = {paths[1]}"
+
+
+@pytest.mark.parametrize("case", ["stripe-128", "drop-64"])
+def test_unit_domain_solves_stop_at_their_round_off_floor(tmp_path, case):
+    # On the unit square the Laplacian's top eigenvalue puts the residual's
+    # round-off above newton_tol = 1e-11: without the floor these inputs
+    # die with NewtonDivergence, the stripe at step 0 and the drop at step 6.
+    # run() still enforces the slack, bound and mass checks on every step.
+    nx, steps = (128, 3) if case == "stripe-128" else (64, 8)
+    initial = ("preset = stripe\namplitude = 0.9\nwidth = 0.08" if case == "stripe-128"
+               else _drop_snapshots(tmp_path, Grid2D(nx, nx, 1.0, 1.0)))
+    text = (f"[grid]\nnx = {nx}\nny = {nx}\n\n[time]\nh = 1e-3\n"
+            f"t_end = {steps * 1e-3}\noutput_every = {steps}\n{UNIT_MODEL}\n"
+            f"[initial]\n{initial}\n\n[output]\ndirectory = {tmp_path / 'out'}\n")
+    cfg = driver.load_config(_write(tmp_path / "u.cfg", text))
+    assert driver.run(cfg) == 0
+    rows = driver.read_ledger(os.path.join(cfg.output_dir, cfg.series))
+    assert len(rows) == steps
 
 
 def test_run_names_step_on_solver_failure(tmp_path):

@@ -104,6 +104,14 @@ def test_inverse_laplacian_rejects_nonzero_mean(unit_grid):
         gridops.inverse_neumann_laplacian(ScalarField.constant(unit_grid, 1.0))
 
 
+def test_grad_norm_sq_is_the_parseval_sum(grid):
+    # A random field carries every cosine mode, the top ones included.
+    f = ScalarField(grid, np.random.default_rng(3).standard_normal((grid.ny, grid.nx)))
+    g = gridops.gradient(f)
+    direct = float(np.sum(g.x ** 2 + g.y ** 2)) * grid.cell_area
+    assert gridops.grad_norm_sq(f) == pytest.approx(direct, rel=1e-13)
+
+
 def test_hminus1_norm_single_mode(unit_grid):
     # For f = cos(k pi x) cos(l pi y) on the unit square the norm squared is
     # (1/lam) * area * (1/2 per nonzero index): a pure-x mode, a pure-y mode

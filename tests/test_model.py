@@ -210,3 +210,21 @@ def test_total_energy_includes_nonlocal_term():
     diff = (mdl.free_energy(phi, psi, with_s2) - mdl.free_energy(phi, psi, base))
     expected = 0.5 * 2.0 * gridops.hminus1_norm_sq(phi)
     assert diff == pytest.approx(expected, rel=1e-12)
+
+
+def test_free_energy_matches_the_physical_space_sums():
+    # Gradients and the H^-1 term of the mean-free phi, summed at the cells.
+    grid = Grid2D(32, 16, 1.5, 1.0)
+    rng = np.random.default_rng(5)
+    phi = ScalarField(grid, 0.2 + 0.6 * rng.uniform(-1.0, 1.0, (16, 32)))
+    psi = ScalarField(grid, 0.5 + 0.4 * rng.uniform(-1.0, 1.0, (16, 32)))
+    params = ModelParams(beta=0.7, sigma2=0.6, theta_c=2.0, w=0.8)
+    gphi, gpsi = gridops.gradient(phi), gridops.gradient(psi)
+    dev = phi.data - phi.data.mean()
+    density = (0.5 * (gphi.x ** 2 + gphi.y ** 2)
+               + 0.5 * params.beta * (gpsi.x ** 2 + gpsi.y ** 2)
+               + 0.5 * params.sigma2 * dev * gridops.inv_neg_lap(grid, dev)
+               + mdl.f_phi(phi.data)[0] + mdl.f_psi(psi.data)[0]
+               + mdl.coupling_g(phi.data, psi.data, params.theta_c, params.w)[0])
+    expected = float(np.sum(density)) * grid.cell_area
+    assert mdl.free_energy(phi, psi, params) == pytest.approx(expected, rel=1e-13)
