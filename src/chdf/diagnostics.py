@@ -159,14 +159,18 @@ def stationary_solve(
         _, gphi, gpsi = mdl.coupling_g(phi, psi, params.theta_c, params.w)
         g_pp = -params.theta_c + 2.0 * params.w * psi
         g_pq = 2.0 * params.w * phi
-        return (np.stack([fp + gphi, fq + gpsi]),
-                np.array([[fpp + g_pp, g_pq], [g_pq, fqq]]))
+        p = np.stack([fp + gphi, fq + gpsi])
+        # Built with p and after it, not on demand: on steady-128 either a
+        # build deferred past the residual's transforms or one before p
+        # slowed the solve's Krylov iterations by 10-20 %.
+        C = np.array([[fpp + g_pp, g_pq], [g_pq, fqq]])
+        return p, lambda: C
 
     x0 = np.stack([phi_seed.data + (phi_mass - phi_seed.data.mean()),
                    psi_seed.data + (psi_mass - psi_seed.data.mean())])
     # The linear solve goes through this module's _krylov_solve so that one
     # call here is one Newton update for anything that wraps that name.
-    (phi, psi), _, (mu_phi_inf, mu_psi_inf) = bounded_newton(
+    (phi, psi), _, (mu_phi_inf, mu_psi_inf), _ = bounded_newton(
         x0, pointwise, mdl.quadratic_symbol(grid, params), 0.0,
         [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass],
         tol, max_newton, krylov=_krylov_solve, label="stationary solve")

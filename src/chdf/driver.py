@@ -185,11 +185,42 @@ def load_config(path: str) -> RunConfig:
 # Snapshots
 # ---------------------------------------------------------------------------
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+# Bytes per array pass, which bounds the temporaries to about 1 MiB,
+# and P^1 .. P^_FNV_CHUNK mod 2^64.
+_FNV_CHUNK = 16384
+_FNV_POWERS = np.multiply.accumulate(np.full(_FNV_CHUNK, _FNV_PRIME, dtype=np.uint64))
+
+
 def _fnv1a64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    """64-bit FNV-1a, h <- (h xor b) P mod 2^64 per byte b, in array passes.
+
+    The xor touches only the low byte l of h, and l' = (l xor b) P mod 256
+    does not depend on the higher bits.  P is odd, so bit j of l' is bit j
+    of l xor b xor bit j of ((l xor b) mod 2^j) P: each bit of l over a
+    chunk of bytes is one xor-prefix, given the bits below it (uint8
+    products keep bits 0-7 exact).  With every l_i known, xoring b_i adds
+    (l_i xor b_i) - l_i to h, so over n bytes
+    h_n = P^n h_0 + sum_i P^(n-i) ((l_i xor b_i) - l_i) mod 2^64.
+    """
+    h = _FNV_OFFSET
+    stream = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, stream.size, _FNV_CHUNK):
+        b = stream[start:start + _FNV_CHUNK]
+        n = b.size
+        low = np.zeros(n, dtype=np.uint8)       # l_i, filled bit by bit
+        for j in range(8):
+            below = (low ^ b) & ((1 << j) - 1)
+            flips = ((b >> j) ^ (below * (_FNV_PRIME & 0xFF) >> j)) & 1
+            bit = np.empty(n, dtype=np.uint8)
+            bit[0] = h >> j & 1
+            np.bitwise_xor.accumulate(flips[:-1], out=bit[1:])
+            bit[1:] ^= bit[0]
+            low |= bit << j
+        powers = _FNV_POWERS[n - 1::-1]         # P^n .. P^1, wrapping uint64
+        h = (int(powers[0]) * h + int(np.sum(powers * (low ^ b)))
+             - int(np.sum(powers * low))) & 0xFFFFFFFFFFFFFFFF
     return h
 
 

@@ -288,24 +288,31 @@ def hminus1_norm_sq(f: ScalarField) -> float:
     return float(np.sum(f.grid.inv_lam * c * c)) * f.grid.cell_area
 
 
-def helmholtz_project(v: VectorField) -> tuple[VectorField, ScalarField]:
-    """Split v = u + grad p with div u = 0, u.n = 0, mean(p) = 0.
+def solenoidal_part(v: VectorField) -> tuple[VectorField, np.ndarray]:
+    """The u of helmholtz_project(v) and the cosine coefficients of its p.
 
-    p solves the Neumann problem (grad p, grad q) = (v, grad q) for all q.
+    Four transforms; the fifth, cc_inv of the coefficients, forms p.
     """
     grid = v.grid
     a = sc_fwd(v.x)
     b = cs_fwd(v.y)
     p = -_div_coeffs(grid, a, b) * grid.inv_lam
     gx, gy = _grad_coeffs(grid, p)
-    u = VectorField(grid, sc_inv(a - gx), cs_inv(b - gy))
-    return u, ScalarField(grid, cc_inv(p))
+    return VectorField(grid, sc_inv(a - gx), cs_inv(b - gy)), p
+
+
+def helmholtz_project(v: VectorField) -> tuple[VectorField, ScalarField]:
+    """Split v = u + grad p with div u = 0, u.n = 0, mean(p) = 0.
+
+    p solves the Neumann problem (grad p, grad q) = (v, grad q) for all q.
+    """
+    u, p = solenoidal_part(v)
+    return u, ScalarField(v.grid, cc_inv(p))
 
 
 def project_velocity(v: VectorField) -> VectorField:
-    """Divergence-free part of v (Helmholtz projection, pressure dropped)."""
-    u, _ = helmholtz_project(v)
-    return u
+    """Divergence-free part of v (Helmholtz projection; p is not formed)."""
+    return solenoidal_part(v)[0]
 
 
 # ---------------------------------------------------------------------------

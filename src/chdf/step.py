@@ -20,7 +20,15 @@ A Picard loop closes the velocity coupling: the velocity comes from
 `darcy.velocity_solve`, solenoidal as returned.  From the second Picard
 iteration on, the velocity, psi and phi solves start from the previous
 iterate, which already solves the same equations with the same mean
-targets up to the Picard change.
+targets up to the Picard change, and are inexact: iteration k may stop
+each of them at tau_k = max(its full tolerance, PICARD_FORCING Delta_k-1),
+Delta_k-1 the previous iteration's Picard change (max change of mu_phi_hat,
+mu_psi_hat and, once there are two iterates, of phi and psi), though only
+after at least one update when its start misses the full tolerance.  An
+iterate is accepted once Delta_k <= picard_tol and each of the three
+solves of that iteration met its full tolerance (newton_tol with its
+round-off floor, velocity_tol): Delta leaves out u, so without the second
+condition a loose velocity solve could end the loop unsolved.
 """
 
 from __future__ import annotations
@@ -180,6 +188,12 @@ def _damped_update(cur: np.ndarray, delta: np.ndarray, lo: float, hi: float) -> 
 ETA_MAX = 0.01
 EW_GAMMA = 0.9
 
+# Inexact Picard: from the second Picard iteration on, each inner solve of
+# `_attempt_step` may stop at PICARD_FORCING times the last Picard change
+# (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982) 400; Kelley,
+# Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 6).
+PICARD_FORCING = 0.01
+
 
 # Multiple of eps max(symbol) max|x|, the round-off in the residual's
 # symbol*x term, below which bounded_newton does not ask max|F| to fall
@@ -202,7 +216,7 @@ def _krylov_solve(matvec, precond, rhs: np.ndarray, rtol: float) -> np.ndarray:
 
 
 def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
-                   krylov=_krylov_solve, label="Newton"):
+                   krylov=_krylov_solve, label="Newton", loose_tol=0.0):
     """Projected Newton-Krylov for k stacked fields with box bounds and fixed means.
 
     x has shape (k, ny, nx) and each field x[i] stays strictly inside
@@ -212,10 +226,12 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
 
     symbol[i] being diagonal in the cosine basis (zero on the constant
     mode), k_hat cosine coefficients fixed for the solve (0.0 for none) and
-    (p, C) = pointwise(x) the one constitutive kernel: the (k, ny, nx)
-    pointwise term and its (k, k, ny, nx) Jacobian, called once per
-    residual evaluation.  The mean of p that P0 removes is the Lagrange
-    multiplier of the mean constraint: the constant part of the potential.
+    (p, jacobian) = pointwise(x) the one constitutive kernel, called once
+    per residual evaluation: the (k, ny, nx) pointwise term and a callable
+    returning its (k, k, ny, nx) Jacobian C, called only before a linear
+    solve, so that a kernel may leave C unbuilt at the evaluation that ends
+    the solve.  The mean of p that P0 removes is the Lagrange multiplier of
+    the mean constraint: the constant part of the potential.
     The Jacobian acting on a zero-mean perturbation v is
 
         (J v)_i = symbol[i] v_i  +  P0( sum_j C_ij v_j ).
@@ -245,18 +261,23 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
     max|F(x)| <= max(tol, ROUNDOFF_FACTOR eps max(symbol) max|x|): the second
     term is the round-off that the high modes of symbol*x carry, below which
     an absolute tol cannot be met when the symbol is large (fine grids, small
-    domains).  Returns (x, number of residual evaluations, the mean
-    of each field of p at the returned x).
+    domains).  After at least one update the solve also stops once
+    max|F(x)| <= loose_tol (inexact Picard, see `_attempt_step`); a start
+    that misses the first bound is always updated, so that a warm start one
+    update short of tol does not cost the Picard loop another iteration.
+    Returns (x, number of residual evaluations, the mean of each field of p
+    at the returned x, whether max|F(x)| met the first bound).
     """
     x = np.array(x, dtype=float)
     floor = ROUNDOFF_FACTOR * np.finfo(float).eps * float(np.max(symbol))
     for it in range(1, max_newton + 2):
-        p, C = pointwise(x)
+        p, jacobian = pointwise(x)
         pbar = p.mean(axis=(-2, -1), keepdims=True)
         R = cc_inv(symbol * cc_fwd(x) + k_hat) + (p - pbar)
         res = float(np.max(np.abs(R)))
-        if res <= max(tol, floor * float(np.max(np.abs(x)))):
-            return x, it, pbar.ravel()
+        met_tol = res <= max(tol, floor * float(np.max(np.abs(x))))
+        if met_tol or (it > 1 and res <= loose_tol):
+            return x, it, pbar.ravel(), met_tol
         if it > max_newton:
             raise NewtonDivergence(f"{label} did not converge: residual "
                                    f"{res:.3e} after {max_newton} updates")
@@ -264,6 +285,7 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
         eta = ETA_MAX if it == 1 else min(
             ETA_MAX, max(EW_GAMMA * (fnorm / fnorm_prev) ** 2, 0.5 * tol / fnorm))
         fnorm_prev = fnorm
+        C = jacobian()
         cbar = [max(float(C[i, i].mean()), 1e-12) for i in range(len(x))]
         prec = 1.0 / (symbol + np.array(cbar)[:, None, None])
         prec[:, 0, 0] = 0.0
@@ -302,7 +324,8 @@ def ch_subsystem_solve(
     params: ModelParams,
     tol: SolverTolerances,
     start: tuple[ScalarField, ScalarField] | None = None,
-) -> tuple[ScalarField, ScalarField, ChemicalPotentials, int, int]:
+    loose_tol: float = 0.0,
+) -> tuple[ScalarField, ScalarField, ChemicalPotentials, int, int, bool]:
     """Solve the two order-parameter pairs with the velocity frozen.
 
     Pair i, x = psi or phi with mobility m, has the zero-mean potential
@@ -315,13 +338,16 @@ def ch_subsystem_solve(
     coupling secant freezes phi at the old step, while the phi pair's
     secant takes the new psi.
 
-    Returns (phi, psi, potentials, phi Newton count, psi Newton count); the
-    means of phi, psi equal the targets exactly, each mu_hat is zero-mean
-    and each mu is mu_hat plus the mean of its pointwise term at the
-    solution, as bounded_newton returns it.  The Newton solves start from
-    prev shifted to the targets, or from start = (phi, psi), which must lie
-    strictly inside the bounds with the target means (a previous return
-    value does).
+    Each Newton solve runs to tol.newton_tol, or to loose_tol after one
+    update (`bounded_newton`).  Returns (phi, psi, potentials, phi Newton
+    count, psi Newton count, met), met saying whether both solves met
+    tol.newton_tol (with its round-off floor).  The means of phi, psi
+    equal the targets exactly, each
+    mu_hat is zero-mean and each mu is mu_hat plus the mean of its
+    pointwise term at the solution, as bounded_newton returns it.  The
+    Newton solves start from prev shifted to the targets, or from start =
+    (phi, psi), which must lie strictly inside the bounds with the target
+    means (a previous return value does).
     """
     grid = prev.phi.grid
     symbol = mdl.quadratic_symbol(grid, params)
@@ -332,31 +358,32 @@ def ch_subsystem_solve(
 
     def psi_kernel(x):
         _, d1, d2 = mdl.f_psi(x, params.theta_psi)
-        return d1 + g_psi, d2[None]
+        return d1 + g_psi, lambda: d2[None]
 
     def phi_kernel(x):
         _, d1, d2 = mdl.f_phi(x, params.theta_phi)
         # psi is the new psi: the psi pair is solved before this runs.
         return (d1 + mdl.secant_g_phi(x, phi_prev, psi, th, w),
-                (d2 + mdl.secant_g_phi_dfirst(x, phi_prev, psi, th, w))[None])
+                lambda: (d2 + mdl.secant_g_phi_dfirst(x, phi_prev, psi, th, w))[None])
 
     def solve_pair(i, x_prev, source, m, pointwise, box, target, x0, label):
         k_hat = grid.inv_lam * cc_fwd(source - x_prev / h) / m
         if x0 is None:
             x0 = x_prev + (target - x_prev.mean())
-        (x,), iters, (pbar,) = bounded_newton(
+        (x,), iters, (pbar,), met_tol = bounded_newton(
             x0[None], pointwise, symbol[i:i + 1] + grid.inv_lam / (m * h), k_hat,
-            [box], [target], tol.newton_tol, tol.max_newton, label=label)
+            [box], [target], tol.newton_tol, tol.max_newton, label=label,
+            loose_tol=loose_tol)
         mu_hat = -cc_inv(grid.inv_lam * cc_fwd(x) / (m * h) + k_hat)
-        return x, mu_hat, iters, pbar
+        return x, mu_hat, iters, pbar, met_tol
 
     a, b = targets
     reac = params.sigma1 * (gridops.mean(prev.phi) - params.c)
     phi0, psi0 = (None, None) if start is None else (start[0].data, start[1].data)
-    psi, mu_psi_hat, it_psi, c_psi = solve_pair(
+    psi, mu_psi_hat, it_psi, c_psi, met_psi = solve_pair(
         1, psi_prev, _convective(u, prev.psi), params.m_psi_const, psi_kernel,
         (0.0, 1.0), b, psi0, "psi Newton")
-    phi, mu_phi_hat, it_phi, c_phi = solve_pair(
+    phi, mu_phi_hat, it_phi, c_phi, met_phi = solve_pair(
         0, phi_prev, _convective(u, prev.phi) + reac, params.m_phi_const, phi_kernel,
         (-1.0, 1.0), a, phi0, "phi Newton")
     potentials = ChemicalPotentials(
@@ -365,7 +392,8 @@ def ch_subsystem_solve(
         mu_phi_hat=ScalarField(grid, mu_phi_hat),
         mu_psi_hat=ScalarField(grid, mu_psi_hat),
     )
-    return ScalarField(grid, phi), ScalarField(grid, psi), potentials, it_phi, it_psi
+    return (ScalarField(grid, phi), ScalarField(grid, psi), potentials, it_phi, it_psi,
+            met_phi and met_psi)
 
 
 def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverTolerances,
@@ -380,10 +408,12 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
         mu_phi_hat = np.zeros((grid.ny, grid.nx))
         mu_psi_hat = np.zeros((grid.ny, grid.nx))
 
-    # The previous Picard iterate starts the inner solves once there is one.
-    phi = psi = u = None
+    # The previous Picard iterate starts the inner solves once there is one,
+    # and the last Picard change loosens their tolerances (inexact Picard).
+    phi = psi = u = change = None
     newton_phi = newton_psi = velocity_its = 0
     for picard_it in range(1, tol.max_picard + 1):
+        loose_tol = 0.0 if change is None else PICARD_FORCING * change
         gmp = gridops.gradient(ScalarField(grid, mu_phi_hat))
         gms = gridops.gradient(ScalarField(grid, mu_psi_hat))
         force = VectorField(
@@ -392,12 +422,12 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
             -(prev.phi.data * gmp.y + prev.psi.data * gms.y),
         )
         u, _, vel = velocity_solve(prev.u, force, h, params, tol=tol.velocity_tol,
-                                   start=u)
+                                   start=u, loose_tol=loose_tol)
         velocity_its = max(velocity_its, vel.outer_iterations)
 
-        phi_new, psi_new, potentials, it_phi, it_psi = ch_subsystem_solve(
+        phi_new, psi_new, potentials, it_phi, it_psi, met_tol = ch_subsystem_solve(
             prev, u, targets, h, params, tol,
-            start=None if phi is None else (phi, psi))
+            start=None if phi is None else (phi, psi), loose_tol=loose_tol)
         newton_phi = max(newton_phi, it_phi)
         newton_psi = max(newton_psi, it_psi)
 
@@ -411,7 +441,10 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
                          float(np.max(np.abs(psi_new.data - psi.data))))
         phi, psi = phi_new, psi_new
         mu_phi_hat, mu_psi_hat = potentials.mu_phi_hat.data, potentials.mu_psi_hat.data
-        if change <= tol.picard_tol:
+        # The change leaves out u, so it can vanish at an iterate that a
+        # loose solve left unsolved: accept only one that all three solves
+        # met at their full tolerances.
+        if change <= tol.picard_tol and vel.met_tol and met_tol:
             break
     else:
         raise PicardStall("velocity/phase coupling did not converge")

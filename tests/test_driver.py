@@ -169,6 +169,24 @@ def test_snapshot_round_trip_bitwise(tmp_path, grid):
     assert np.array_equal(g.data, f.data)
 
 
+def _fnv1a64_bytewise(data):
+    h = 0xCBF29CE484222325
+    for b in data:
+        h ^= b
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def test_snapshot_checksum_is_fnv1a64():
+    # The array form of the checksum against the byte loop of its definition.
+    rng = np.random.default_rng(11)
+    payloads = [rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+                for n in (0, 1, 7, 8, 4099)]
+    payloads.append(rng.standard_normal((128, 128)).astype("<f8").tobytes())
+    for data in payloads:
+        assert driver._fnv1a64(data) == _fnv1a64_bytewise(data), len(data)
+
+
 def test_snapshot_checksum_detects_corruption(tmp_path, grid):
     f = ScalarField.constant(grid, 0.3)
     path = tmp_path / "f.snap"

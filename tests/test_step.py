@@ -277,9 +277,112 @@ def test_picard_iterations_start_from_the_previous_iterate(monkeypatch):
 
     # The warm-started step agrees with a cold solve on its own velocity.
     targets = mean_targets(state.phi, state.psi, h, params)
-    phi, psi, _, _, _ = ch_subsystem_solve(state, nxt.u, targets, h, params, tol)
+    phi, psi, _, _, _, _ = ch_subsystem_solve(state, nxt.u, targets, h, params, tol)
     assert np.max(np.abs(phi.data - nxt.phi.data)) <= 1e-10
     assert np.max(np.abs(psi.data - nxt.psi.data)) <= 1e-10
+
+
+# The model of the coarsen-64 and steady-128 benchmarks.
+BENCH_MODEL = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
+
+
+def _band_step(monkeypatch, kappa):
+    """One h = 0.1 step of the 32^2 band state at PICARD_FORCING = kappa.
+
+    Returns the step's (state, potentials, report) and its transform calls,
+    counted at every chdf name of each transform.
+    """
+    calls = [0]
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with monkeypatch.context() as m:
+        for name in ("cc_fwd", "cc_inv", "sc_fwd", "sc_inv", "cs_fwd", "cs_inv"):
+            original = getattr(gridops, name)
+            for module in (gridops, step, diagnostics, mdl):
+                if getattr(module, name, None) is original:
+                    m.setattr(module, name, counted(original))
+        m.setattr(step, "PICARD_FORCING", kappa)
+        out = coupled_time_step(_band_state(Grid2D(32, 32, 16.0, 16.0)), 0.1,
+                                BENCH_MODEL, SolverTolerances())
+    return out, calls[0]
+
+
+def _assert_same_step(a, b):
+    (sa, _, ra), (sb, _, rb) = a, b
+    for x, y in ((sa.phi.data, sb.phi.data), (sa.psi.data, sb.psi.data),
+                 (sa.u.x, sb.u.x), (sa.u.y, sb.u.y)):
+        assert np.max(np.abs(x - y)) <= 1e-10
+    for name in ("energy_after", "energy_free", "kinetic", "inequality_slack",
+                 "dissipation_d2", "dissipation_dr", "grad_mu_phi_sq",
+                 "grad_mu_psi_sq", "reaction_term"):
+        x, y = getattr(ra, name), getattr(rb, name)
+        assert abs(x - y) <= 1e-10 * (1.0 + abs(y)), name
+
+
+def test_inexact_picard_accepts_the_exact_iterate(monkeypatch):
+    # From the second Picard iteration on the inner solves may stop at
+    # PICARD_FORCING times the last Picard change.  The step still accepts
+    # the iterate of the exact loop (kappa = 0), each of whose three solves
+    # met its full tolerance, and does at most 0.8 of the exact loop's work.
+    tol = SolverTolerances()
+    last = {}
+    velocity, newton = step.velocity_solve, step.bounded_newton
+
+    def spied_velocity(u_prev, force, *args, **kwargs):
+        out = velocity(u_prev, force, *args, **kwargs)
+        last["velocity"] = (force, out[0], out[2].met_tol)
+        return out
+
+    def spied_newton(*args, label, **kwargs):
+        out = newton(*args, label=label, **kwargs)
+        last[label] = out[3]
+        return out
+
+    monkeypatch.setattr(step, "velocity_solve", spied_velocity)
+    monkeypatch.setattr(step, "bounded_newton", spied_newton)
+    inexact, work = _band_step(monkeypatch, step.PICARD_FORCING)
+    assert step.PICARD_FORCING > 0.0
+    assert last["psi Newton"] and last["phi Newton"] and last["velocity"][2]
+    # The returned velocity solves the momentum equation of its last solve.
+    force, u, _ = last["velocity"]
+    assert u is inexact[0].u
+    params = BENCH_MODEL
+    drag = params.nu_const + params.eta_const * np.hypot(u.x, u.y) ** (params.r - 2)
+    res = gridops.project_velocity(VectorField(u.grid, drag * u.x - force.x,
+                                               drag * u.y - force.y))
+    scale = 1.0 + np.max(np.hypot(force.x, force.y))
+    assert np.max(np.hypot(res.x, res.y)) <= tol.velocity_tol * scale
+
+    exact, exact_work = _band_step(monkeypatch, 0.0)
+    _assert_same_step(inexact, exact)
+    assert np.sqrt(np.mean(exact[0].u.x ** 2 + exact[0].u.y ** 2)) > 1e-3
+    assert work <= 0.8 * exact_work
+
+
+def test_inexact_picard_accepts_no_unsolved_velocity(monkeypatch):
+    # The Picard change leaves out u.  A velocity solve that may return its
+    # start once it is within loose_tol, at kappa = 1, leaves the zero
+    # velocity of the first iteration (zero potentials) unsolved at the
+    # second, where phi, psi and the potentials repeat: the change is 0.
+    # Only the guard on met_tol keeps the step from accepting u = 0.
+    velocity = step.velocity_solve
+
+    def lazy_velocity(u_prev, force, h, params, tol, *, start=None, loose_tol=0.0):
+        u, pi, report = velocity(u_prev, force, h, params, max(tol, loose_tol),
+                                 start=start)
+        scale = 1.0 + np.max(np.hypot(force.x, force.y))   # alpha = 0
+        met = bool(report.final_momentum_residual <= tol * scale)
+        return u, pi, replace(report, met_tol=met)
+
+    exact, _ = _band_step(monkeypatch, 0.0)
+    monkeypatch.setattr(step, "velocity_solve", lazy_velocity)
+    lazy, _ = _band_step(monkeypatch, 1.0)
+    _assert_same_step(lazy, exact)
 
 
 def test_flux_and_pointwise_laws_hold_with_transport():
@@ -315,7 +418,9 @@ def test_flux_and_pointwise_laws_hold_with_transport():
 
 
 def test_constitutive_kernels_run_once_per_residual_evaluation(grid, monkeypatch):
-    calls = {"f_phi": 0, "f_psi": 0}
+    # The phi Jacobian's secant term is built once per update: the
+    # evaluation that ends a solve does not build it.
+    calls = {"f_phi": 0, "f_psi": 0, "secant_g_phi_dfirst": 0}
 
     def counted(name):
         kernel = getattr(mdl, name)
@@ -330,10 +435,10 @@ def test_constitutive_kernels_run_once_per_residual_evaluation(grid, monkeypatch
     params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
     state = _band_state(grid)
     targets = mean_targets(state.phi, state.psi, 0.1, params)
-    _, _, _, it_phi, it_psi = ch_subsystem_solve(state, state.u, targets, 0.1, params,
-                                                 SolverTolerances())
+    _, _, _, it_phi, it_psi, _ = ch_subsystem_solve(state, state.u, targets, 0.1, params,
+                                                    SolverTolerances())
     assert it_phi > 1 and it_psi > 1
-    assert calls == {"f_phi": it_phi, "f_psi": it_psi}
+    assert calls == {"f_phi": it_phi, "f_psi": it_psi, "secant_g_phi_dfirst": it_phi - 1}
 
     evaluations = []
     newton = diagnostics.bounded_newton
@@ -344,13 +449,14 @@ def test_constitutive_kernels_run_once_per_residual_evaluation(grid, monkeypatch
         return out
 
     monkeypatch.setattr(diagnostics, "bounded_newton", spied)
-    calls.update(f_phi=0, f_psi=0)
+    calls.update(f_phi=0, f_psi=0, secant_g_phi_dfirst=0)
     X, Y = grid.cell_centers()
     pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
     diagnostics.stationary_solve(0.1, 0.5, (ScalarField(grid, 0.1 + pert),
                                             ScalarField(grid, 0.5 - pert)), params)
     assert len(evaluations) == 1 and evaluations[0] > 1
-    assert calls == {"f_phi": evaluations[0], "f_psi": evaluations[0]}
+    assert calls == {"f_phi": evaluations[0], "f_psi": evaluations[0],
+                     "secant_g_phi_dfirst": 0}
 
 
 def test_inner_solve_failure_names_its_solve(grid, monkeypatch):
@@ -442,10 +548,6 @@ def test_inner_solves_follow_the_forcing_rule(grid, monkeypatch):
             assert rtol * bnorm >= floor * (1 - 1e-12)
 
 
-# The model of the steady-128 benchmark.
-STEADY_MODEL = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
-
-
 def _stationary_residual(grid, params, sol):
     # The stationary equations with the recovered constant potentials.
     phi, psi = sol.phi_inf.data, sol.psi_inf.data
@@ -496,9 +598,9 @@ def test_stationary_solve_crosses_negative_curvature(monkeypatch):
     tol = 1e-10
     sol = diagnostics.stationary_solve(phi.mean(), psi.mean(),
                                        (ScalarField(grid, phi), ScalarField(grid, psi)),
-                                       STEADY_MODEL, tol=tol)
+                                       BENCH_MODEL, tol=tol)
     assert sum(c <= 0.0 for c in curvatures) >= 1
-    assert _stationary_residual(grid, STEADY_MODEL, sol) <= tol
+    assert _stationary_residual(grid, BENCH_MODEL, sol) <= tol
 
 
 def test_inexact_newton_reaches_the_same_root(monkeypatch):
@@ -511,7 +613,7 @@ def test_inexact_newton_reaches_the_same_root(monkeypatch):
     phi = 0.9 * np.tanh(3.0 * lam)
     seed = (ScalarField(grid, phi - phi.mean()),
             ScalarField(grid, 0.5 + 0.2 * lam / np.max(np.abs(lam))))
-    params = STEADY_MODEL
+    params = BENCH_MODEL
     tol = 1e-10
 
     def residual(sol):
