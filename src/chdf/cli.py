@@ -8,7 +8,7 @@ import sys
 
 from . import driver
 from . import grid as gridops
-from .errors import (ChdfError, NonConvergence, BoundViolation, MeanNotZero,
+from .errors import (NonConvergence, BoundViolation, MeanNotZero,
                      OutOfDomain, ParseError, SnapshotFormatError,
                      StepTooLarge, UnknownPreset, ValidationError)
 

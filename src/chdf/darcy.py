@@ -29,7 +29,6 @@ _MAX_CG = 1500
 @dataclass(frozen=True)
 class VelocitySolveReport:
     outer_iterations: int
-    final_div_residual: float
     final_momentum_residual: float
     # Whether the final momentum residual met tol, not only loose_tol.
     met_tol: bool
@@ -150,9 +149,7 @@ def velocity_solve(
 
     pi = -gridops.cc_inv(p_hat)
     pi -= pi.mean()
-    div_res = float(np.max(np.abs(gridops.divergence(u).data)))
-    report = VelocitySolveReport(it, div_res, res, met_tol)
-    return u, ScalarField(grid, pi), report
+    return u, ScalarField(grid, pi), VelocitySolveReport(it, res, met_tol)
 
 
 def dissipation_integrands(u: VectorField, params: ModelParams) -> tuple[float, float]:

@@ -15,10 +15,11 @@ import numpy as np
 
 from . import grid as gridops
 from . import model as mdl
+from .darcy import dissipation_integrands
 from .errors import ValidationError
 from .grid import ScalarField
 from .model import ModelParams
-from .step import ChemicalPotentials, State, StepReport, _krylov_solve, bounded_newton
+from .step import ChemicalPotentials, State, _krylov_solve, bounded_newton
 
 
 @dataclass(frozen=True)
@@ -61,32 +62,51 @@ class EquilibriumSolution:
     mu_psi_inf: float
 
 
-def build_ledger_row(state: State, report: StepReport,
-                     params: ModelParams) -> LedgerRow:
-    """Assemble the ledger row for a freshly completed step."""
+def build_ledger_row(prev: State, state: State, potentials: ChemicalPotentials,
+                     h: float, params: ModelParams, energy_before: float) -> LedgerRow:
+    """Assemble the ledger row of the step of size h from prev to state.
+
+    potentials are the step's chemical potentials and energy_before is
+    total_energy(prev), the previous row's energy_total.  The slack is that
+    of the discrete energy law
+
+        E(state) + h (D + reaction) <= E(prev),
+
+    D the drag and chemical-flux dissipation and reaction the mean
+    relaxation term, which takes the old phi mean.
+    """
     grid = state.phi.grid
-    mag2 = state.u.x ** 2 + state.u.y ** 2
-    u_l2 = math.sqrt(float(np.sum(mag2)) * grid.cell_area)
-    u_lr = (float(np.sum(mag2 ** (params.r / 2.0))) * grid.cell_area) ** (1.0 / params.r)
+    u = state.u
+    kinetic = mdl.kinetic_energy(u, params)
+    energy_free = mdl.free_energy(state.phi, state.psi, params)
+    energy_total = kinetic + energy_free
+    d2, dr = dissipation_integrands(u, params)
+    grad_mu_phi_sq = gridops.grad_norm_sq(potentials.mu_phi)
+    grad_mu_psi_sq = gridops.grad_norm_sq(potentials.mu_psi)
+    diss = (d2 + dr + params.m_phi_const * grad_mu_phi_sq
+            + params.m_psi_const * grad_mu_psi_sq)
+    reaction = (gridops.mean(prev.phi) - params.c) * float(
+        np.sum(params.sigma1 * potentials.mu_phi.data)) * grid.cell_area
+    mag2 = u.x ** 2 + u.y ** 2
     row = LedgerRow(
         time=state.time,
-        energy_total=report.energy_after,
-        energy_free=report.energy_free,
-        kinetic=report.kinetic,
-        dissipation_d2=report.dissipation_d2,
-        dissipation_dr=report.dissipation_dr,
-        grad_mu_phi_sq=report.grad_mu_phi_sq,
-        grad_mu_psi_sq=report.grad_mu_psi_sq,
-        reaction_term=report.reaction_term,
-        slack=report.inequality_slack,
-        mean_phi=report.mass_achieved_phi,
-        mean_psi=report.mass_achieved_psi,
-        min_phi=report.min_phi,
-        max_phi=report.max_phi,
-        min_psi=report.min_psi,
-        max_psi=report.max_psi,
-        u_l2=u_l2,
-        u_lr=u_lr,
+        energy_total=energy_total,
+        energy_free=energy_free,
+        kinetic=kinetic,
+        dissipation_d2=d2,
+        dissipation_dr=dr,
+        grad_mu_phi_sq=grad_mu_phi_sq,
+        grad_mu_psi_sq=grad_mu_psi_sq,
+        reaction_term=reaction,
+        slack=energy_before - (energy_total + h * diss + h * reaction),
+        mean_phi=gridops.mean(state.phi),
+        mean_psi=gridops.mean(state.psi),
+        min_phi=float(np.min(state.phi.data)),
+        max_phi=float(np.max(state.phi.data)),
+        min_psi=float(np.min(state.psi.data)),
+        max_psi=float(np.max(state.psi.data)),
+        u_l2=math.sqrt(float(np.sum(mag2)) * grid.cell_area),
+        u_lr=(float(np.sum(mag2 ** (params.r / 2.0))) * grid.cell_area) ** (1.0 / params.r),
     )
     row.validate()
     return row

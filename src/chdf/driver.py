@@ -374,7 +374,8 @@ def run(cfg: RunConfig, perturb_hook=None) -> int:
     Aborts with a solver-failure status on any invariant violation (slack
     below tolerance, bounds, mass targets); the offending row is still
     written as the final diagnostic record.  perturb_hook(step_index, state)
-    is a test seam invoked after each step.
+    is a test seam invoked after each step, before its ledger row: the row,
+    and the next step, describe the state as the hook left it.
     """
     grid = Grid2D(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
     state = _initial_from_config(cfg, grid)
@@ -383,44 +384,41 @@ def run(cfg: RunConfig, perturb_hook=None) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     writer = LedgerWriter(os.path.join(cfg.output_dir, cfg.series))
 
-    e0 = mdl.total_energy(state, params)
-    slack_floor = -tol.energy_tol * (1.0 + abs(e0))
+    energy = mdl.total_energy(state, params)
+    slack_floor = -tol.energy_tol * (1.0 + abs(energy))
     psi_mean_0 = gridops.mean(state.psi)
     # Time still to go, in units of h.  A step halved k times advances
     # 2**-k of its request, and the next steps make that up, so `left` stays
     # an exact dyadic fraction that reaches 0 with no sliver step.
     left = float(_step_count(cfg))
     potentials: ChemicalPotentials | None = None
-    energy = e0
     k = 0
     try:
         while left > 0.0:
             frac = min(1.0, left)
+            prev = state
             try:
                 state, potentials, report = coupled_time_step(
-                    state, cfg.h * frac, params, tol, potentials,
-                    energy_before=energy)
+                    prev, cfg.h * frac, params, tol, potentials)
             except (NonConvergence, StepTooLarge) as exc:
                 raise type(exc)(f"step {k}: {exc}") from exc
             left -= frac * 0.5 ** report.h_halvings
-            energy = report.energy_after
             if perturb_hook is not None:
                 perturb_hook(k, state)
-                energy = None   # the hook may have changed the state
-                report.mass_achieved_phi = gridops.mean(state.phi)
-                report.mass_achieved_psi = gridops.mean(state.psi)
-            row = diag.build_ledger_row(state, report, params)
+            row = diag.build_ledger_row(prev, state, potentials, report.h_used,
+                                        params, energy)
             writer.write(row)
+            energy = row.energy_total
             violations = []
-            if report.inequality_slack < slack_floor:
+            if row.slack < slack_floor:
                 violations.append("energy inequality slack below tolerance")
-            if not (-1.0 < report.min_phi and report.max_phi < 1.0):
+            if not (-1.0 < row.min_phi and row.max_phi < 1.0):
                 violations.append("phi bounds violated")
-            if not (0.0 < report.min_psi and report.max_psi < 1.0):
+            if not (0.0 < row.min_psi and row.max_psi < 1.0):
                 violations.append("psi bounds violated")
-            if abs(report.mass_achieved_psi - psi_mean_0) > 1e-10:
+            if abs(row.mean_psi - psi_mean_0) > 1e-10:
                 violations.append("psi mass drifted from its conserved value")
-            if abs(report.mass_achieved_phi - report.mass_target_a) > 1e-10:
+            if abs(row.mean_phi - report.mass_target_a) > 1e-10:
                 violations.append("phi mass missed its prescribed target")
             if violations:
                 raise BoundViolation(
@@ -496,12 +494,13 @@ def _check_one_step(grid: Grid2D, params: ModelParams,
     state = State(VectorField.zero(grid), ScalarField(grid, phi),
                   ScalarField.constant(grid, 0.5))
     e0 = mdl.total_energy(state, params)
-    _, _, report = coupled_time_step(state, 1e-3, params, tol)
-    ok = (report.inequality_slack >= -tol.energy_tol * (1.0 + abs(e0))
-          and abs(report.mass_achieved_psi - 0.5) <= 1e-12
-          and abs(report.mass_achieved_phi - report.mass_target_a) <= 1e-12)
-    return ok, (f"one-step slack {report.inequality_slack:.3e}, "
-                f"psi mean error {abs(report.mass_achieved_psi - 0.5):.3e}")
+    nxt, potentials, report = coupled_time_step(state, 1e-3, params, tol)
+    row = diag.build_ledger_row(state, nxt, potentials, report.h_used, params, e0)
+    ok = (row.slack >= -tol.energy_tol * (1.0 + abs(e0))
+          and abs(row.mean_psi - 0.5) <= 1e-12
+          and abs(row.mean_phi - report.mass_target_a) <= 1e-12)
+    return ok, (f"one-step slack {row.slack:.3e}, "
+                f"psi mean error {abs(row.mean_psi - 0.5):.3e}")
 
 
 def check(cfg: RunConfig) -> int:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import grid as gridops
 from . import model as mdl
-from .darcy import dissipation_integrands, velocity_solve
+from .darcy import velocity_solve
 from .errors import BoundViolation, NewtonDivergence, PicardStall, StepTooLarge
 from .grid import ScalarField, VectorField, cc_fwd, cc_inv, pcg
 from .model import ModelParams
@@ -82,32 +82,16 @@ class ChemicalPotentials:
 
 @dataclass
 class StepReport:
+    """What the solver decided; `diagnostics.build_ledger_row` forms the ledger."""
+
     picard_iterations: int
     # Largest per-solve counts over the step's Picard iterations: the
     # residual evaluations max_newton caps, and the velocity outer_iterations.
     newton_iterations_phi: int
     newton_iterations_psi: int
     velocity_iterations: int
-    energy_before: float
-    energy_after: float
-    # The two parts of energy_after.
-    energy_free: float
-    kinetic: float
-    inequality_slack: float
-    # The terms of the inequality, as the step evaluated them.
-    dissipation_d2: float
-    dissipation_dr: float
-    grad_mu_phi_sq: float
-    grad_mu_psi_sq: float
-    reaction_term: float
     mass_target_a: float
-    mass_achieved_phi: float
-    mass_achieved_psi: float
-    max_phi: float
-    min_phi: float
-    max_psi: float
-    min_psi: float
-    h_used: float = 0.0
+    h_used: float
     h_halvings: int = 0
 
 
@@ -397,7 +381,8 @@ def ch_subsystem_solve(
 
 
 def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverTolerances,
-                  init_potentials: ChemicalPotentials | None):
+                  init_potentials: ChemicalPotentials | None
+                  ) -> tuple[State, ChemicalPotentials, StepReport]:
     grid = prev.phi.grid
     targets = mean_targets(prev.phi, prev.psi, h, params)
 
@@ -449,8 +434,8 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
     else:
         raise PicardStall("velocity/phase coupling did not converge")
 
-    return (u, phi, psi, potentials, picard_it, newton_phi, newton_psi, velocity_its,
-            targets)
+    return (State(u, phi, psi, prev.time + h, prev.step_index + 1), potentials,
+            StepReport(picard_it, newton_phi, newton_psi, velocity_its, targets[0], h))
 
 
 def coupled_time_step(
@@ -459,69 +444,24 @@ def coupled_time_step(
     params: ModelParams,
     tol: SolverTolerances,
     init_potentials: ChemicalPotentials | None = None,
-    energy_before: float | None = None,
 ) -> tuple[State, ChemicalPotentials, StepReport]:
     """Advance one step; on a Picard stall, halve h up to five times.
 
-    energy_before is total_energy(prev) when the caller already has it (the
-    previous step's energy_after); it is computed when omitted.
+    Returns the new state, its chemical potentials and the solver's report,
+    whose h_used is the step taken; `diagnostics.build_ledger_row` forms the
+    step's energy ledger from these and prev.
     """
     halvings = 0
     h_try = h
     while True:
         try:
-            (u, phi, psi, potentials, picard_it, newton_phi, newton_psi,
-             velocity_its, targets) = _attempt_step(prev, h_try, params, tol,
-                                                    init_potentials)
+            state, potentials, report = _attempt_step(prev, h_try, params, tol,
+                                                      init_potentials)
             break
         except PicardStall:
             if halvings >= 5:
                 raise
             halvings += 1
             h_try *= 0.5
-
-    next_state = State(u, phi, psi, prev.time + h_try, prev.step_index + 1)
-
-    e_before = (mdl.total_energy(prev, params) if energy_before is None
-                else energy_before)
-    # The sum total_energy forms, with its parts kept for the ledger.
-    kinetic = mdl.kinetic_energy(u, params)
-    energy_free = mdl.free_energy(phi, psi, params)
-    e_after = kinetic + energy_free
-    d2, dr = dissipation_integrands(u, params)
-    grad_mu_phi_sq = gridops.grad_norm_sq(potentials.mu_phi)
-    grad_mu_psi_sq = gridops.grad_norm_sq(potentials.mu_psi)
-    diss = (d2 + dr + params.m_phi_const * grad_mu_phi_sq
-            + params.m_psi_const * grad_mu_psi_sq)
-    phibar_prev = gridops.mean(prev.phi)
-    reaction = (phibar_prev - params.c) * float(
-        np.sum(params.sigma1 * potentials.mu_phi.data)
-    ) * phi.grid.cell_area
-    slack = e_before - (e_after + h_try * diss + h_try * reaction)
-
-    report = StepReport(
-        picard_iterations=picard_it,
-        newton_iterations_phi=newton_phi,
-        newton_iterations_psi=newton_psi,
-        velocity_iterations=velocity_its,
-        energy_before=e_before,
-        energy_after=e_after,
-        energy_free=energy_free,
-        kinetic=kinetic,
-        inequality_slack=slack,
-        dissipation_d2=d2,
-        dissipation_dr=dr,
-        grad_mu_phi_sq=grad_mu_phi_sq,
-        grad_mu_psi_sq=grad_mu_psi_sq,
-        reaction_term=reaction,
-        mass_target_a=targets[0],
-        mass_achieved_phi=gridops.mean(phi),
-        mass_achieved_psi=gridops.mean(psi),
-        max_phi=float(np.max(phi.data)),
-        min_phi=float(np.min(phi.data)),
-        max_psi=float(np.max(psi.data)),
-        min_psi=float(np.min(psi.data)),
-        h_used=h_try,
-        h_halvings=halvings,
-    )
-    return next_state, potentials, report
+    report.h_halvings = halvings
+    return state, potentials, report

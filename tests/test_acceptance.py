@@ -33,14 +33,18 @@ def _stripe_state(grid, params, mean_phi=0.0):
         amplitude=0.9, width=0.08)
 
 
-def _advance(state, params, n, h=H, tol=None, collect_potentials=False):
+def _advance(state, params, n, h=H, tol=None, pots=None):
+    """n steps from state: (final state, potentials, reports, ledger rows)."""
     tol = tol or SolverTolerances()
-    reports = []
-    pots = None
+    energy = mdl.total_energy(state, params)
+    reports, rows = [], []
     for _ in range(n):
-        state, pots, rep = coupled_time_step(state, h, params, tol, pots)
+        prev = state
+        state, pots, rep = coupled_time_step(prev, h, params, tol, pots)
         reports.append(rep)
-    return (state, pots, reports) if collect_potentials else (state, reports)
+        rows.append(diag.build_ledger_row(prev, state, pots, rep.h_used, params, energy))
+        energy = rows[-1].energy_total
+    return state, pots, reports, rows
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +57,8 @@ def stripe_runs():
         params = ModelParams(alpha=alpha, **params_base)
         state = _stripe_state(GRID, params)
         e0 = mdl.total_energy(state, params)
-        _, reports = _advance(state, params, N_STEPS)
-        out[alpha] = (e0, reports)
+        _, _, _, rows = _advance(state, params, N_STEPS)
+        out[alpha] = (e0, rows)
     out["elapsed"] = time.perf_counter() - t0
     return out
 
@@ -68,14 +72,8 @@ def reaction_runs():
         state = State(VectorField.zero(GRID),
                       ScalarField.constant(GRID, 0.3),
                       ScalarField.constant(GRID, 0.5))
-        n = int(round(0.2 / h))
-        means = []
-        pots = None
-        tol = SolverTolerances()
-        for _ in range(n):
-            state, pots, rep = coupled_time_step(state, h, params, tol, pots)
-            means.append(rep.mass_achieved_phi)
-        out[h] = means
+        _, _, _, rows = _advance(state, params, int(round(0.2 / h)), h=h)
+        out[h] = [row.mean_phi for row in rows]
     return out
 
 
@@ -85,20 +83,18 @@ def spinodal_run():
     params = ModelParams(w=1.0, theta_c=1.0, r=3.0)
     state = driver.initial_condition("random_spinodal", GRID, params, 12345,
                                      mean_phi=0.1, mean_psi=0.5)
-    tol = SolverTolerances()
     t0 = time.perf_counter()
     pots = None
-    reports = []
+    rows = []
     residual = math.inf
     while state.time < 50.0:
-        for _ in range(10):
-            state, pots, rep = coupled_time_step(state, H, params, tol, pots)
-            reports.append(rep)
+        state, pots, _, chunk = _advance(state, params, 10, pots=pots)
+        rows += chunk
         residual = diag.equilibrium_residual(state, pots, params)
         if residual < 1e-6:
             break
     elapsed = time.perf_counter() - t0
-    return dict(state=state, potentials=pots, reports=reports,
+    return dict(state=state, potentials=pots, rows=rows,
                 residual=residual, params=params, elapsed=elapsed)
 
 
@@ -143,24 +139,24 @@ def test_operator_exactness():
 
 def test_discrete_energy_inequality(stripe_runs):
     for alpha in (0.0, 1.0):
-        e0, reports = stripe_runs[alpha]
+        e0, rows = stripe_runs[alpha]
         floor = -1e-9 * (1 + abs(e0))
-        assert len(reports) == N_STEPS
-        assert all(r.inequality_slack >= floor for r in reports)
-        energies = [e0] + [r.energy_after for r in reports]
+        assert len(rows) == N_STEPS
+        assert all(r.slack >= floor for r in rows)
+        energies = [e0] + [r.energy_total for r in rows]
         # Nonincreasing up to the roundoff of the energy quadrature itself.
         eps = 1e-14 * (1 + abs(e0))
         assert all(b <= a + eps for a, b in zip(energies, energies[1:]))
     assert stripe_runs["elapsed"] < 120.0
-    worst = min(r.inequality_slack for a in (0.0, 1.0) for r in stripe_runs[a][1])
+    worst = min(r.slack for a in (0.0, 1.0) for r in stripe_runs[a][1])
     print(f"\nPASS energy inequality: slack >= {worst:.2e} over 2x{N_STEPS} steps, "
           f"energy nonincreasing, {stripe_runs['elapsed']:.1f}s")
 
 
 def test_mass_laws(stripe_runs, reaction_runs):
     for alpha in (0.0, 1.0):
-        _, reports = stripe_runs[alpha]
-        assert all(abs(r.mass_achieved_psi - 0.5) <= 1e-12 for r in reports)
+        _, rows = stripe_runs[alpha]
+        assert all(abs(r.mean_psi - 0.5) <= 1e-12 for r in rows)
 
     for h, means in reaction_runs.items():
         for k, m in enumerate(means, start=1):
@@ -179,14 +175,13 @@ def test_mass_laws(stripe_runs, reaction_runs):
 
 def test_bound_preservation(stripe_runs, spinodal_run):
     margin = math.inf
-    all_reports = (stripe_runs[0.0][1] + stripe_runs[1.0][1]
-                   + spinodal_run["reports"])
-    for r in all_reports:
+    all_rows = stripe_runs[0.0][1] + stripe_runs[1.0][1] + spinodal_run["rows"]
+    for r in all_rows:
         margin = min(margin, 1.0 - r.max_phi, r.min_phi + 1.0,
                      r.min_psi, 1.0 - r.max_psi)
     assert margin > 0.0
     print(f"\nPASS bound preservation: worst margin {margin:.3e} "
-          f"over {len(all_reports)} steps")
+          f"over {len(all_rows)} steps")
 
 
 def test_drag_scalar_solver():
@@ -268,7 +263,7 @@ def test_time_self_convergence():
     finals = {}
     for h in (4e-3, 2e-3, 1e-3):
         state = _stripe_state(GRID, params)
-        state, reports = _advance(state, params, int(round(T / h)), h=h)
+        state, _, reports, _ = _advance(state, params, int(round(T / h)), h=h)
         assert all(r.h_halvings == 0 for r in reports)
         finals[h] = state.phi.data
     e1 = float(np.max(np.abs(finals[4e-3] - finals[2e-3])))

@@ -343,9 +343,11 @@ def test_run_abort_on_injected_violation(tmp_path):
 
 
 def test_run_reuses_each_step_energy_unless_hooked(tmp_path, monkeypatch):
-    # A step's energy_after is the next step's energy_before, so a run
-    # evaluates the total energy once; after a hook, which may change the
-    # state, it evaluates it again.  The reuse moves no ledger byte.
+    # A row's energy_total is the next row's energy_before, so a run
+    # evaluates the total energy once, hooked or not.  The hook runs before
+    # the row is built: a no-op hook moves no ledger byte, and after a hook
+    # that moves phi the row is the ledger of the hooked state, against
+    # whose energy the next row's slack closes.
     text = """
 [grid]
 nx = 16
@@ -371,18 +373,36 @@ width = 0.1
         calls.append(args)
         return total_energy(*args)
 
+    hooked = []
+
+    def bump(k, state):
+        # Zero-mean at the cell centres; it moves phi toward the interface.
+        if k == 1:
+            X, _ = state.phi.grid.cell_centers()
+            state.phi.data += 1e-3 * np.cos(np.pi * X / state.phi.grid.Lx)
+            hooked.append(state.copy())
+
     monkeypatch.setattr(mdl, "total_energy", counted)
     ledgers = []
-    for name, hook, evaluations in (("a", None, 1),
-                                    ("b", lambda k, state: None, 5)):
+    for name, hook in (("a", None), ("b", lambda k, state: None), ("c", bump)):
         out = tmp_path / name
         cfg = driver.load_config(_write(
             tmp_path / f"{name}.cfg", text + f"\n[output]\ndirectory = {out}\n"))
         calls.clear()
         assert driver.run(cfg, perturb_hook=hook) == 0
-        assert len(calls) == evaluations
+        assert len(calls) == 1
         ledgers.append(open(os.path.join(cfg.output_dir, cfg.series), "rb").read())
     assert ledgers[0] == ledgers[1]
+
+    rows = driver.read_ledger(os.path.join(cfg.output_dir, cfg.series))
+    assert ledgers[2] != ledgers[0]
+    assert rows[1].energy_total == total_energy(hooked[0], cfg.params)
+    params, e_prev, row = cfg.params, rows[1].energy_total, rows[2]
+    terms = (row.dissipation_d2 + row.dissipation_dr
+             + params.m_phi_const * row.grad_mu_phi_sq
+             + params.m_psi_const * row.grad_mu_psi_sq + row.reaction_term)
+    assert row.slack == pytest.approx(e_prev - row.energy_total - cfg.h * terms,
+                                      abs=1e-13 * (1.0 + abs(e_prev)))
 
 
 def test_run_makes_up_time_lost_to_a_halved_step(tmp_path, monkeypatch):

@@ -28,6 +28,13 @@ def _stripe_state(grid, amplitude=0.6, width=0.1, psi_mean=0.5):
                  ScalarField.constant(grid, psi_mean))
 
 
+def _ledger_row(prev, out, params):
+    """The ledger row of the step out = (state, potentials, report) from prev."""
+    nxt, pots, report = out
+    return diagnostics.build_ledger_row(prev, nxt, pots, report.h_used, params,
+                                        mdl.total_energy(prev, params))
+
+
 # ---------------------------------------------------------------------------
 # Mean targets
 # ---------------------------------------------------------------------------
@@ -115,12 +122,13 @@ def test_projected_updates_keep_a_clipping_solve_inside(monkeypatch):
     monkeypatch.setattr(step, "_damped_update", spy)
     tol = SolverTolerances()
     e0 = mdl.total_energy(prev, params)
-    nxt, _, report = coupled_time_step(prev, 0.1, params, tol)
+    out = coupled_time_step(prev, 0.1, params, tol)
+    nxt, _, report = out
     assert any(projected)
     nxt.validate()
     assert abs(gridops.mean(nxt.phi) - report.mass_target_a) <= 1e-13
     assert abs(gridops.mean(nxt.psi) - gridops.mean(prev.psi)) <= 1e-13
-    assert report.inequality_slack >= -tol.energy_tol * (1.0 + abs(e0))
+    assert _ledger_row(prev, out, params).slack >= -tol.energy_tol * (1.0 + abs(e0))
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +139,11 @@ def test_homogeneous_rest_state_is_fixed_point(grid):
     params = ModelParams(w=1.0, theta_c=1.0)
     st = State(VectorField.zero(grid), ScalarField.constant(grid, 0.2),
                ScalarField.constant(grid, 0.5))
-    nxt, pots, report = coupled_time_step(st, 1e-3, params, SolverTolerances())
+    out = coupled_time_step(st, 1e-3, params, SolverTolerances())
+    nxt, pots, _ = out
     assert np.max(np.abs(nxt.phi.data - 0.2)) < 1e-12
     assert np.max(np.abs(nxt.psi.data - 0.5)) < 1e-12
-    assert abs(report.inequality_slack) < 1e-12
+    assert abs(_ledger_row(st, out, params).slack) < 1e-12
     assert np.max(np.abs(pots.mu_phi_hat.data)) < 1e-12
 
 
@@ -160,11 +169,13 @@ def test_constant_fields_with_solenoidal_velocity(grid):
     st = State(VectorField(grid, ux, uy), ScalarField.constant(grid, 0.1),
                ScalarField.constant(grid, 0.5))
     ke0 = mdl.kinetic_energy(st.u, params)
-    nxt, _, report = coupled_time_step(st, 1e-2, params, SolverTolerances())
+    out = coupled_time_step(st, 1e-2, params, SolverTolerances())
+    nxt = out[0]
     assert np.max(np.abs(nxt.phi.data - 0.1)) < 1e-10
     assert np.max(np.abs(nxt.psi.data - 0.5)) < 1e-10
     assert mdl.kinetic_energy(nxt.u, params) < ke0
-    assert report.inequality_slack >= -1e-12 * (1 + abs(report.energy_before))
+    e_before = mdl.total_energy(st, params)
+    assert _ledger_row(st, out, params).slack >= -1e-12 * (1 + abs(e_before))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +190,16 @@ def test_short_stripe_run_energy_and_bounds(grid):
     e_prev = e0
     pots = None
     for _ in range(20):
-        state, pots, report = coupled_time_step(state, 1e-3, params, tol, pots)
-        assert report.inequality_slack >= -tol.energy_tol * (1 + abs(e0))
-        assert report.energy_after <= e_prev + 1e-12 * (1 + abs(e0))
-        assert -1.0 < report.min_phi and report.max_phi < 1.0
-        assert 0.0 < report.min_psi and report.max_psi < 1.0
-        assert report.mass_achieved_psi == pytest.approx(0.5, abs=1e-13)
-        e_prev = report.energy_after
+        prev = state
+        state, pots, report = coupled_time_step(prev, 1e-3, params, tol, pots)
+        row = diagnostics.build_ledger_row(prev, state, pots, report.h_used, params,
+                                           e_prev)
+        assert row.slack >= -tol.energy_tol * (1 + abs(e0))
+        assert row.energy_total <= e_prev + 1e-12 * (1 + abs(e0))
+        assert -1.0 < row.min_phi and row.max_phi < 1.0
+        assert 0.0 < row.min_psi and row.max_psi < 1.0
+        assert row.mean_psi == pytest.approx(0.5, abs=1e-13)
+        e_prev = row.energy_total
 
 
 def test_recovered_potentials_satisfy_pointwise_law(grid):
@@ -289,8 +303,9 @@ BENCH_MODEL = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
 def _band_step(monkeypatch, kappa):
     """One h = 0.1 step of the 32^2 band state at PICARD_FORCING = kappa.
 
-    Returns the step's (state, potentials, report) and its transform calls,
-    counted at every chdf name of each transform.
+    Returns the step's (state, potentials, ledger row) and the transform
+    calls of the step and its row, counted at every chdf name of each
+    transform.
     """
     calls = [0]
 
@@ -307,9 +322,10 @@ def _band_step(monkeypatch, kappa):
                 if getattr(module, name, None) is original:
                     m.setattr(module, name, counted(original))
         m.setattr(step, "PICARD_FORCING", kappa)
-        out = coupled_time_step(_band_state(Grid2D(32, 32, 16.0, 16.0)), 0.1,
-                                BENCH_MODEL, SolverTolerances())
-    return out, calls[0]
+        prev = _band_state(Grid2D(32, 32, 16.0, 16.0))
+        out = coupled_time_step(prev, 0.1, BENCH_MODEL, SolverTolerances())
+        row = _ledger_row(prev, out, BENCH_MODEL)
+    return (out[0], out[1], row), calls[0]
 
 
 def _assert_same_step(a, b):
@@ -317,7 +333,7 @@ def _assert_same_step(a, b):
     for x, y in ((sa.phi.data, sb.phi.data), (sa.psi.data, sb.psi.data),
                  (sa.u.x, sb.u.x), (sa.u.y, sb.u.y)):
         assert np.max(np.abs(x - y)) <= 1e-10
-    for name in ("energy_after", "energy_free", "kinetic", "inequality_slack",
+    for name in ("energy_total", "energy_free", "kinetic", "slack",
                  "dissipation_d2", "dissipation_dr", "grad_mu_phi_sq",
                  "grad_mu_psi_sq", "reaction_term"):
         x, y = getattr(ra, name), getattr(rb, name)
@@ -638,9 +654,11 @@ def test_inexact_newton_reaches_the_same_root(monkeypatch):
 def test_step_report_fields_consistent(grid):
     params = ModelParams(w=1.0, theta_c=1.0)
     state = _stripe_state(grid, amplitude=0.5)
-    nxt, _, report = coupled_time_step(state, 1e-3, params, SolverTolerances())
+    out = coupled_time_step(state, 1e-3, params, SolverTolerances())
+    nxt, _, report = out
+    row = _ledger_row(state, out, params)
     assert report.h_used == 1e-3
     assert report.h_halvings == 0
-    assert report.mass_achieved_phi == pytest.approx(report.mass_target_a, abs=1e-13)
-    assert report.max_phi == np.max(nxt.phi.data)
+    assert row.mean_phi == pytest.approx(report.mass_target_a, abs=1e-13)
+    assert row.max_phi == np.max(nxt.phi.data)
     assert report.picard_iterations >= 1
