@@ -61,32 +61,24 @@ class RunConfig:
     snapshot_prefix: str = "state"
 
 
-_GRID_KEYS = {"nx": int, "ny": int, "Lx": float, "Ly": float}
-_TIME_KEYS = {"h": float, "t_end": float, "output_every": int}
-_MODEL_KEYS = {f.name: float for f in fields(ModelParams)}
-_TOL_KEYS = {f.name: type(f.default) for f in fields(SolverTolerances)}
-_INITIAL_KEYS = {
-    "preset": str, "mean_phi": float, "mean_psi": float, "amplitude": float,
-    "width": float, "noise_amplitude": float, "phi_path": str,
-    "psi_path": str, "seed": int,
-}
-_OUTPUT_KEYS = {"directory": str, "series": str, "snapshot_prefix": str}
+# The keys of each config section.  [model] and [tolerances] set the fields
+# of ModelParams and SolverTolerances, the other sections those of RunConfig,
+# where [output] directory is output_dir.  A key's type is the type of its
+# field's default.
 _SECTIONS = {
-    "grid": _GRID_KEYS, "time": _TIME_KEYS, "model": _MODEL_KEYS,
-    "tolerances": _TOL_KEYS, "initial": _INITIAL_KEYS, "output": _OUTPUT_KEYS,
+    "grid": ("nx", "ny", "Lx", "Ly"),
+    "time": ("h", "t_end", "output_every"),
+    "model": tuple(f.name for f in fields(ModelParams)),
+    "tolerances": tuple(f.name for f in fields(SolverTolerances)),
+    "initial": ("preset", "mean_phi", "mean_psi", "amplitude", "width",
+                "noise_amplitude", "phi_path", "psi_path", "seed"),
+    "output": ("directory", "series", "snapshot_prefix"),
 }
 
 
 def _convert(section: str, key: str, raw: str, typ):
     try:
-        if typ is int:
-            val = int(raw)
-        elif typ is float:
-            val = float(raw)
-        elif typ is str:
-            val = raw
-        else:
-            raise AssertionError(typ)
+        val = typ(raw)
     except ValueError as exc:
         raise ParseError(f"[{section}] {key} = {raw!r} is not a valid {typ.__name__}") from exc
     if typ is float and not math.isfinite(val):
@@ -109,39 +101,24 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ParseError(f"malformed config {path}: {exc}") from exc
 
-    values: dict[str, dict] = {}
+    default = RunConfig()
+    owners = {"model": default.params, "tolerances": default.tolerances}
+    values: dict[str, dict] = {section: {} for section in _SECTIONS}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
-        allowed = _SECTIONS[section]
-        values[section] = {}
         for key, raw in parser[section].items():
-            if key not in allowed:
+            if key not in _SECTIONS[section]:
                 raise ValidationError(f"unknown key {key} in section [{section}]")
-            values[section][key] = _convert(section, key, raw, allowed[key])
+            name = "output_dir" if key == "directory" else key
+            typ = type(getattr(owners.get(section, default), name))
+            values[section][name] = _convert(section, key, raw, typ)
 
-    cfg = RunConfig()
-    g = values.get("grid", {})
-    t = values.get("time", {})
-    o = values.get("output", {})
-    ini = values.get("initial", {})
-    cfg.nx = g.get("nx", cfg.nx)
-    cfg.ny = g.get("ny", cfg.ny)
-    cfg.Lx = g.get("Lx", cfg.Lx)
-    cfg.Ly = g.get("Ly", cfg.Ly)
-    cfg.h = t.get("h", cfg.h)
-    cfg.t_end = t.get("t_end", cfg.t_end)
-    cfg.output_every = t.get("output_every", cfg.output_every)
-    cfg.output_dir = o.get("directory", cfg.output_dir)
-    cfg.series = o.get("series", cfg.series)
-    cfg.snapshot_prefix = o.get("snapshot_prefix", cfg.snapshot_prefix)
-    for key in _INITIAL_KEYS:
-        if key in ini:
-            setattr(cfg, key, ini[key])
-
+    flat = {name: val for section, given in values.items()
+            if section not in owners for name, val in given.items()}
     try:
-        cfg.params = ModelParams(**values.get("model", {}))
-        cfg.tolerances = SolverTolerances(**values.get("tolerances", {}))
+        cfg = RunConfig(params=ModelParams(**values["model"]),
+                        tolerances=SolverTolerances(**values["tolerances"]), **flat)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     # Grid2D validates nx/ny/Lx/Ly on construction; surface that now.
@@ -158,7 +135,7 @@ def load_config(path: str) -> RunConfig:
                               f"h = {cfg.h:g}: round(t_end/h) must be >= 1")
     if cfg.output_every < 1:
         raise ValidationError("output_every must be >= 1")
-    if cfg.preset not in ("homogeneous", "stripe", "random_spinodal", "snapshot"):
+    if cfg.preset not in PRESETS:
         raise ValidationError(f"unknown preset {cfg.preset!r}")
     if not -1.0 < cfg.mean_phi < 1.0:
         raise ValidationError("mean_phi must lie in the open interval (-1, 1)")
@@ -250,6 +227,8 @@ def read_snapshot(path: str) -> tuple[ScalarField, float, str]:
         checksum = int(parts[7], 16)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: unparseable header fields") from exc
+    if not time > -math.inf:
+        raise SnapshotFormatError(f"{path}: header time {time} is not finite or +inf")
     try:
         grid = Grid2D(nx, ny, Lx, Ly)
     except ValueError as exc:
@@ -285,47 +264,35 @@ def _band_limited_noise(grid: Grid2D, rng: np.random.Generator,
     return noise
 
 
-def initial_condition(preset: str, grid: Grid2D, params: ModelParams,
-                      seed: int, *, mean_phi: float = 0.0, mean_psi: float = 0.5,
-                      amplitude: float = 0.9, width: float = 0.08,
-                      noise_amplitude: float = 0.05, phi_path: str = "",
-                      psi_path: str = "") -> State:
-    """Construct the starting state for a named scenario."""
-    u0 = VectorField.zero(grid)
-    if preset == "homogeneous":
-        state = State(u0, ScalarField.constant(grid, mean_phi),
-                      ScalarField.constant(grid, mean_psi))
-    elif preset == "stripe":
+PRESETS = ("homogeneous", "stripe", "random_spinodal", "snapshot")
+
+
+def initial_condition(cfg: RunConfig, grid: Grid2D) -> State:
+    """Construct the starting state of the configured preset on grid."""
+    if cfg.preset not in PRESETS:
+        raise UnknownPreset(f"unknown preset {cfg.preset!r}")
+    phi, psi, time = cfg.mean_phi, cfg.mean_psi, 0.0
+    if cfg.preset == "stripe":
         X, _ = grid.cell_centers()
-        phi = mean_phi + amplitude * np.tanh((X - 0.5 * grid.Lx) / width)
+        phi = phi + cfg.amplitude * np.tanh((X - 0.5 * grid.Lx) / cfg.width)
         phi = np.clip(phi, -1.0 + _STRIPE_CLIP, 1.0 - _STRIPE_CLIP)
-        state = State(u0, ScalarField(grid, phi),
-                      ScalarField.constant(grid, mean_psi))
-    elif preset == "random_spinodal":
-        rng = np.random.default_rng(seed)
-        phi = mean_phi + _band_limited_noise(grid, rng, noise_amplitude)
-        psi = mean_psi + _band_limited_noise(grid, rng, noise_amplitude)
-        state = State(u0, ScalarField(grid, phi), ScalarField(grid, psi))
-    elif preset == "snapshot":
-        phi_field, time, _ = read_snapshot(phi_path)
-        psi_field, _, _ = read_snapshot(psi_path)
+    elif cfg.preset == "random_spinodal":
+        rng = np.random.default_rng(cfg.seed)
+        phi = phi + _band_limited_noise(grid, rng, cfg.noise_amplitude)
+        psi = psi + _band_limited_noise(grid, rng, cfg.noise_amplitude)
+    elif cfg.preset == "snapshot":
+        phi_field, time, _ = read_snapshot(cfg.phi_path)
+        psi_field, _, _ = read_snapshot(cfg.psi_path)
         if phi_field.grid != grid or psi_field.grid != grid:
             raise SnapshotFormatError("snapshot grid does not match the configured grid")
-        state = State(u0, phi_field, psi_field, time=time)
-    else:
-        raise UnknownPreset(f"unknown preset {preset!r}")
+        phi, psi = phi_field.data, psi_field.data
+        # `steady` writes its states at t = inf; a run from one starts at 0.
+        time = 0.0 if time == math.inf else time
+    shape = (grid.ny, grid.nx)
+    state = State(VectorField.zero(grid), ScalarField(grid, np.full(shape, phi)),
+                  ScalarField(grid, np.full(shape, psi)), time=time)
     state.validate()
     return state
-
-
-def _initial_from_config(cfg: RunConfig, grid: Grid2D) -> State:
-    return initial_condition(
-        cfg.preset, grid, cfg.params, cfg.seed,
-        mean_phi=cfg.mean_phi, mean_psi=cfg.mean_psi,
-        amplitude=cfg.amplitude, width=cfg.width,
-        noise_amplitude=cfg.noise_amplitude,
-        phi_path=cfg.phi_path, psi_path=cfg.psi_path,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +345,7 @@ def run(cfg: RunConfig, perturb_hook=None) -> int:
     and the next step, describe the state as the hook left it.
     """
     grid = Grid2D(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    state = _initial_from_config(cfg, grid)
+    state = initial_condition(cfg, grid)
     params = cfg.params
     tol = cfg.tolerances
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -437,7 +404,7 @@ def run(cfg: RunConfig, perturb_hook=None) -> int:
 def steady(cfg: RunConfig) -> int:
     """Solve the stationary system from the configured initial condition."""
     grid = Grid2D(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    state = _initial_from_config(cfg, grid)
+    state = initial_condition(cfg, grid)
     sol = diag.stationary_solve(
         gridops.mean(state.phi), gridops.mean(state.psi),
         (state.phi, state.psi), cfg.params, tol=1e-10)

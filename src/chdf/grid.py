@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct, dctn, dst, idct, idctn, idst
@@ -50,6 +51,8 @@ class Grid2D:
                 raise ValueError(f"{name} must be a power of two >= 8, got {n}")
         if self.Lx <= 0 or self.Ly <= 0:
             raise ValueError("domain lengths must be positive")
+        if not (self.Lx < np.inf and self.Ly < np.inf):
+            raise ValueError("domain lengths must be finite")
 
     @property
     def hx(self) -> float:
@@ -73,41 +76,27 @@ class Grid2D:
         y = (np.arange(self.ny) + 0.5) * self.hy
         return np.meshgrid(x, y)
 
-    # Wavenumbers for the cos basis (mode index = array index).
-    @property
+    # Wavenumbers for the cos basis (mode index = array index), and the
+    # operator symbols built from them, computed once per grid.
+    @cached_property
     def kx(self) -> np.ndarray:
-        return _cached_wavenumbers(self)[0]
+        return np.arange(self.nx) * np.pi / self.Lx
 
-    @property
+    @cached_property
     def ky(self) -> np.ndarray:
-        return _cached_wavenumbers(self)[1]
+        return np.arange(self.ny) * np.pi / self.Ly
 
-    @property
+    @cached_property
     def lam(self) -> np.ndarray:
         """Eigenvalues of -Laplacian on cos modes: (k pi/Lx)^2 + (l pi/Ly)^2."""
-        return _cached_wavenumbers(self)[2]
+        return self.ky[:, None] ** 2 + self.kx[None, :] ** 2
 
-    @property
+    @cached_property
     def inv_lam(self) -> np.ndarray:
         """1/lam on the nonconstant modes, 0 on the constant mode."""
-        return _cached_wavenumbers(self)[3]
-
-
-_wavenumber_cache: dict[tuple, tuple] = {}
-
-
-def _cached_wavenumbers(grid: Grid2D):
-    key = (grid.nx, grid.ny, grid.Lx, grid.Ly)
-    hit = _wavenumber_cache.get(key)
-    if hit is None:
-        kx = np.arange(grid.nx) * np.pi / grid.Lx
-        ky = np.arange(grid.ny) * np.pi / grid.Ly
-        lam = ky[:, None] ** 2 + kx[None, :] ** 2
-        inv_lam = np.zeros_like(lam)
-        inv_lam.flat[1:] = 1.0 / lam.flat[1:]
-        hit = (kx, ky, lam, inv_lam)
-        _wavenumber_cache[key] = hit
-    return hit
+        inv_lam = np.zeros_like(self.lam)
+        inv_lam.flat[1:] = 1.0 / self.lam.flat[1:]
+        return inv_lam
 
 
 @dataclass

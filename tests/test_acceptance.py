@@ -27,10 +27,10 @@ H = 1e-3
 N_STEPS = 500
 
 
-def _stripe_state(grid, params, mean_phi=0.0):
-    return driver.initial_condition(
-        "stripe", grid, params, 0, mean_phi=mean_phi, mean_psi=0.5,
-        amplitude=0.9, width=0.08)
+def _stripe_state(grid):
+    return driver.initial_condition(driver.RunConfig(
+        preset="stripe", mean_phi=0.0, mean_psi=0.5, amplitude=0.9,
+        width=0.08), grid)
 
 
 def _advance(state, params, n, h=H, tol=None, pots=None):
@@ -55,7 +55,7 @@ def stripe_runs():
     t0 = time.perf_counter()
     for alpha in (0.0, 1.0):
         params = ModelParams(alpha=alpha, **params_base)
-        state = _stripe_state(GRID, params)
+        state = _stripe_state(GRID)
         e0 = mdl.total_energy(state, params)
         _, _, _, rows = _advance(state, params, N_STEPS)
         out[alpha] = (e0, rows)
@@ -81,8 +81,8 @@ def reaction_runs():
 def spinodal_run():
     """Random spinodal run until the equilibrium residual drops below 1e-6."""
     params = ModelParams(w=1.0, theta_c=1.0, r=3.0)
-    state = driver.initial_condition("random_spinodal", GRID, params, 12345,
-                                     mean_phi=0.1, mean_psi=0.5)
+    state = driver.initial_condition(driver.RunConfig(
+        preset="random_spinodal", seed=12345, mean_phi=0.1, mean_psi=0.5), GRID)
     t0 = time.perf_counter()
     pots = None
     rows = []
@@ -262,7 +262,7 @@ def test_time_self_convergence():
     T = 0.1
     finals = {}
     for h in (4e-3, 2e-3, 1e-3):
-        state = _stripe_state(GRID, params)
+        state = _stripe_state(GRID)
         state, _, reports, _ = _advance(state, params, int(round(T / h)), h=h)
         assert all(r.h_halvings == 0 for r in reports)
         finals[h] = state.phi.data

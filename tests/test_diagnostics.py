@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chdf import diagnostics as diag
-from chdf import grid as gridops
 from chdf import model as mdl
 from chdf.errors import ValidationError
 from chdf.grid import Grid2D, ScalarField, VectorField

@@ -12,7 +12,6 @@ from chdf.errors import (BoundViolation, ParseError, PicardStall,
                          SnapshotFormatError, StepTooLarge, UnknownPreset,
                          ValidationError)
 from chdf.grid import Grid2D, ScalarField
-from chdf.model import ModelParams
 
 
 @pytest.fixture
@@ -119,6 +118,52 @@ def test_non_numeric_value_is_parse_error(tmp_path):
             driver.load_config(_write(tmp_path / "g.cfg", bad))
 
 
+EVERY_KEY = """
+[grid]
+nx = 32
+ny = 8
+Lx = 2.0
+Ly = 0.5
+
+[time]
+h = 2e-3
+t_end = 0.5
+output_every = 7
+
+[initial]
+preset = snapshot
+mean_phi = -0.3
+mean_psi = 0.4
+amplitude = 0.7
+width = 0.2
+noise_amplitude = 0.01
+phi_path = in/phi.snap
+psi_path = in/psi.snap
+seed = 9
+
+[output]
+directory = results
+series = rows.csv
+snapshot_prefix = run
+"""
+
+
+def test_every_key_loads_into_its_field(tmp_path):
+    expected = dict(
+        nx=32, ny=8, Lx=2.0, Ly=0.5, h=2e-3, t_end=0.5, output_every=7,
+        preset="snapshot", mean_phi=-0.3, mean_psi=0.4, amplitude=0.7,
+        width=0.2, noise_amplitude=0.01, phi_path="in/phi.snap",
+        psi_path="in/psi.snap", seed=9, output_dir="results",
+        series="rows.csv", snapshot_prefix="run")
+    default = driver.RunConfig()
+    assert set(expected) == set(vars(default)) - {"params", "tolerances"}
+    cfg = driver.load_config(_write(tmp_path / "every.cfg", EVERY_KEY))
+    for name, value in expected.items():
+        assert value != getattr(default, name), name
+        assert getattr(cfg, name) == value, name
+        assert type(getattr(cfg, name)) is type(value), name
+
+
 def test_negative_seed_rejected(tmp_path):
     # numpy refuses a negative seed, which crashed the run with a traceback.
     bad = MINIMAL.replace("preset = homogeneous", "preset = random_spinodal\nseed = -1")
@@ -198,6 +243,23 @@ def test_snapshot_checksum_detects_corruption(tmp_path, grid):
         driver.read_snapshot(str(path))
 
 
+@pytest.mark.parametrize("fields, match", [
+    ("nan 1 0", "invalid grid"), ("1 inf 0", "invalid grid"),
+    ("1 1 nan", "header time"), ("1 1 -inf", "header time")])
+def test_snapshot_header_rejects_nonfinite_lengths_and_times(tmp_path, fields, match):
+    # "Lx Ly time": lengths must be finite, and a time finite or +inf.
+    payload = bytes(16 * 16 * 8)
+    path = tmp_path / "bad.snap"
+    path.write_bytes(f"CHDF1 16 16 {fields} phi {driver._fnv1a64(payload):016x}\n"
+                     .encode("ascii") + payload)
+    with pytest.raises(SnapshotFormatError, match=match):
+        driver.read_snapshot(str(path))
+    cfg_path = _write(tmp_path / "snap.cfg", MINIMAL.replace(
+        "preset = homogeneous",
+        f"preset = snapshot\nphi_path = {path}\npsi_path = {path}"))
+    assert cli.main(["run", cfg_path, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_IO
+
+
 def test_snapshot_bad_header_rejected(tmp_path):
     path = tmp_path / "f.snap"
     path.write_bytes(b"NOPE 1 2 3\n")
@@ -210,23 +272,23 @@ def test_snapshot_bad_header_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_homogeneous_preset_exact_means(grid):
-    st = driver.initial_condition("homogeneous", grid, ModelParams(), 0,
-                                  mean_phi=0.2, mean_psi=0.5)
+    st = driver.initial_condition(driver.RunConfig(
+        preset="homogeneous", mean_phi=0.2, mean_psi=0.5), grid)
     assert np.all(st.phi.data == 0.2)
     assert np.all(st.psi.data == 0.5)
     assert np.all(st.u.x == 0.0)
 
 
 def test_stripe_preset_respects_clip_margin(grid):
-    st = driver.initial_condition("stripe", grid, ModelParams(), 0,
-                                  amplitude=5.0, width=0.01)
+    st = driver.initial_condition(driver.RunConfig(
+        preset="stripe", amplitude=5.0, width=0.01), grid)
     assert np.max(np.abs(st.phi.data)) <= 1.0 - 1e-3
 
 
 def test_random_spinodal_deterministic_and_bounded(grid):
-    a = driver.initial_condition("random_spinodal", grid, ModelParams(), 42)
-    b = driver.initial_condition("random_spinodal", grid, ModelParams(), 42)
-    c = driver.initial_condition("random_spinodal", grid, ModelParams(), 43)
+    a = driver.initial_condition(driver.RunConfig(preset="random_spinodal", seed=42), grid)
+    b = driver.initial_condition(driver.RunConfig(preset="random_spinodal", seed=42), grid)
+    c = driver.initial_condition(driver.RunConfig(preset="random_spinodal", seed=43), grid)
     assert np.array_equal(a.phi.data, b.phi.data)
     assert np.array_equal(a.psi.data, b.psi.data)
     assert not np.array_equal(a.phi.data, c.phi.data)
@@ -235,29 +297,29 @@ def test_random_spinodal_deterministic_and_bounded(grid):
 
 def test_unknown_preset_raises(grid):
     with pytest.raises(UnknownPreset):
-        driver.initial_condition("vortex", grid, ModelParams(), 0)
+        driver.initial_condition(driver.RunConfig(preset="vortex"), grid)
 
 
 def test_snapshot_preset_rejects_nan_cell(tmp_path, grid):
-    src = driver.initial_condition("random_spinodal", grid, ModelParams(), 7)
+    src = driver.initial_condition(driver.RunConfig(preset="random_spinodal", seed=7), grid)
     src.phi.data[3, 5] = np.nan
     phi_path = str(tmp_path / "phi.snap")
     psi_path = str(tmp_path / "psi.snap")
     driver.write_snapshot(phi_path, src.phi, 0.0, "phi")
     driver.write_snapshot(psi_path, src.psi, 0.0, "psi")
     with pytest.raises(BoundViolation, match="phi leaves"):
-        driver.initial_condition("snapshot", grid, ModelParams(), 0,
-                                 phi_path=phi_path, psi_path=psi_path)
+        driver.initial_condition(driver.RunConfig(
+            preset="snapshot", phi_path=phi_path, psi_path=psi_path), grid)
 
 
 def test_snapshot_preset_round_trip(tmp_path, grid):
-    src = driver.initial_condition("random_spinodal", grid, ModelParams(), 7)
+    src = driver.initial_condition(driver.RunConfig(preset="random_spinodal", seed=7), grid)
     phi_path = str(tmp_path / "phi.snap")
     psi_path = str(tmp_path / "psi.snap")
     driver.write_snapshot(phi_path, src.phi, 1.5, "phi")
     driver.write_snapshot(psi_path, src.psi, 1.5, "psi")
-    st = driver.initial_condition("snapshot", grid, ModelParams(), 0,
-                                  phi_path=phi_path, psi_path=psi_path)
+    st = driver.initial_condition(driver.RunConfig(
+        preset="snapshot", phi_path=phi_path, psi_path=psi_path), grid)
     assert np.array_equal(st.phi.data, src.phi.data)
     assert st.time == 1.5
 
@@ -553,6 +615,21 @@ def test_cli_steady_homogeneous(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "mu_phi_inf" in captured
     assert (out / "state_phi_steady.snap").exists()
+
+
+def test_cli_run_starts_from_steady_output_at_time_zero(tmp_path):
+    # steady writes its states at t = inf; a run from them starts at 0.
+    stripe_path = _write(tmp_path / "s.cfg", MINIMAL.replace(
+        "preset = homogeneous", "preset = stripe"))
+    steady_out = tmp_path / "steady"
+    assert cli.main(["steady", stripe_path, "--output-dir", str(steady_out)]) == 0
+    cfg_path = _write(tmp_path / "r.cfg", MINIMAL.replace(
+        "preset = homogeneous",
+        f"preset = snapshot\nphi_path = {steady_out / 'state_phi_steady.snap'}\n"
+        f"psi_path = {steady_out / 'state_psi_steady.snap'}"))
+    out = tmp_path / "run"
+    assert cli.main(["run", cfg_path, "--output-dir", str(out)]) == 0
+    assert driver.read_ledger(str(out / "ledger.csv"))[0].time == 1e-3
 
 
 def test_cli_threads_env(tmp_path, monkeypatch):

@@ -30,6 +30,9 @@ def test_grid_validation():
         Grid2D(4, 32, 1.0, 1.0)    # below minimum size
     with pytest.raises(ValueError):
         Grid2D(32, 32, -1.0, 1.0)
+    for Lx, Ly in ((np.nan, 1.0), (1.0, np.inf), (np.inf, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Grid2D(32, 32, Lx, Ly)
 
 
 def test_cell_centers_midpoints(grid):

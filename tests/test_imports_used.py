@@ -1,4 +1,4 @@
-"""Every top-level import of a chdf module is used by that module.
+"""Every top-level import of a chdf module or test module is used by it.
 
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by an import statement in a module's body must appear as a name
@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "chdf"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "chdf"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +41,4 @@ def test_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+

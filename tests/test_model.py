@@ -10,7 +10,6 @@ from chdf import model as mdl
 from chdf.errors import OutOfDomain, ValidationError
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
-from chdf.step import State
 
 
 # ---------------------------------------------------------------------------

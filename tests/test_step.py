@@ -109,8 +109,8 @@ def test_projected_updates_keep_a_clipping_solve_inside(monkeypatch):
     # the box, and the step still ends strictly inside with exact means.
     grid = Grid2D(32, 32, 1.0, 1.0)
     params = ModelParams(theta_c=8.0, w=1.0, alpha=1.0, sigma2=0.1)
-    prev = driver.initial_condition("stripe", grid, params, 0,
-                                    amplitude=1.0, width=0.01)
+    prev = driver.initial_condition(driver.RunConfig(
+        preset="stripe", amplitude=1.0, width=0.01), grid)
     projected = []
     damped = step._damped_update
 
