@@ -18,6 +18,7 @@ from .errors import (BoundViolation, ChdfError, MeanNotZero, NewtonDivergence,
                      NonConvergence, OutOfDomain, ParseError, PicardStall,
                      SnapshotFormatError, StepTooLarge, UnknownPreset,
                      ValidationError)
+from .driver import read_ledger
 from .grid import Grid2D, ScalarField, VectorField
 from .model import ModelParams, coupling_g, f_phi, f_psi, total_energy
 from .step import (ChemicalPotentials, SolverTolerances, State, StepReport,

@@ -6,8 +6,9 @@ import argparse
 import os
 import sys
 
+import scipy.fft
+
 from . import driver
-from . import grid as gridops
 from .errors import (NonConvergence, BoundViolation, MeanNotZero,
                      OutOfDomain, ParseError, SnapshotFormatError,
                      StepTooLarge, UnknownPreset, ValidationError)
@@ -39,34 +40,35 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     threads = os.environ.get("CHDF_THREADS", "0")
-    saved = gridops._workers
     try:
-        gridops.set_num_threads(int(threads))
+        workers = int(threads)
     except ValueError:
+        workers = -1
+    if workers < 0:
         print(f"chdf: invalid CHDF_THREADS value {threads!r}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    try:
-        cfg = driver.load_config(args.config)
-        if args.output_dir is not None:
-            cfg.output_dir = args.output_dir
-        if args.command == "run":
-            return driver.run(cfg)
-        if args.command == "check":
-            return driver.check(cfg)
-        return driver.steady(cfg)
-    except (ValidationError, ParseError, UnknownPreset) as exc:
-        print(f"chdf: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (NonConvergence, BoundViolation, StepTooLarge, MeanNotZero,
-            OutOfDomain) as exc:
-        print(f"chdf: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (OSError, SnapshotFormatError) as exc:
-        print(f"chdf: {exc}", file=sys.stderr)
-        return EXIT_IO
-    finally:
-        gridops._workers = saved
+    # The transform worker count holds for this command only.
+    with scipy.fft.set_workers(workers or os.cpu_count()):
+        try:
+            cfg = driver.load_config(args.config)
+            if args.output_dir is not None:
+                cfg.output_dir = args.output_dir
+            if args.command == "run":
+                return driver.run(cfg)
+            if args.command == "check":
+                return driver.check(cfg)
+            return driver.steady(cfg)
+        except (ValidationError, ParseError, UnknownPreset) as exc:
+            print(f"chdf: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except (NonConvergence, BoundViolation, StepTooLarge, MeanNotZero,
+                OutOfDomain) as exc:
+            print(f"chdf: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+        except (OSError, SnapshotFormatError) as exc:
+            print(f"chdf: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

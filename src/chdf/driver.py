@@ -20,9 +20,8 @@ import numpy as np
 from . import diagnostics as diag
 from . import grid as gridops
 from . import model as mdl
-from .errors import (BoundViolation, NonConvergence, ParseError,
-                     SnapshotFormatError, StepTooLarge, UnknownPreset,
-                     ValidationError)
+from .errors import (BoundViolation, ChdfError, ParseError,
+                     SnapshotFormatError, UnknownPreset, ValidationError)
 from .grid import Grid2D, ScalarField, VectorField
 from .model import ModelParams
 from .step import (ChemicalPotentials, SolverTolerances, State,
@@ -281,8 +280,13 @@ def initial_condition(cfg: RunConfig, grid: Grid2D) -> State:
         phi = phi + _band_limited_noise(grid, rng, cfg.noise_amplitude)
         psi = psi + _band_limited_noise(grid, rng, cfg.noise_amplitude)
     elif cfg.preset == "snapshot":
-        phi_field, time, _ = read_snapshot(cfg.phi_path)
-        psi_field, _, _ = read_snapshot(cfg.psi_path)
+        phi_field, time, phi_name = read_snapshot(cfg.phi_path)
+        psi_field, _, psi_name = read_snapshot(cfg.psi_path)
+        for path, name, role in ((cfg.phi_path, phi_name, "phi"),
+                                 (cfg.psi_path, psi_name, "psi")):
+            if name != role:
+                raise SnapshotFormatError(
+                    f"{path}: header names field {name!r}, but it is read as {role!r}")
         if phi_field.grid != grid or psi_field.grid != grid:
             raise SnapshotFormatError("snapshot grid does not match the configured grid")
         phi, psi = phi_field.data, psi_field.data
@@ -335,14 +339,13 @@ def read_ledger(path: str) -> list[diag.LedgerRow]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def run(cfg: RunConfig, perturb_hook=None) -> int:
+def run(cfg: RunConfig) -> int:
     """Advance the coupled system to t_end, writing ledger rows and snapshots.
 
     Aborts with a solver-failure status on any invariant violation (slack
     below tolerance, bounds, mass targets); the offending row is still
-    written as the final diagnostic record.  perturb_hook(step_index, state)
-    is a test seam invoked after each step, before its ledger row: the row,
-    and the next step, describe the state as the hook left it.
+    written as the final diagnostic record.  An error raised by a step is
+    raised again with the same type, its message prefixed by the step.
     """
     grid = Grid2D(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
     state = initial_condition(cfg, grid)
@@ -367,11 +370,9 @@ def run(cfg: RunConfig, perturb_hook=None) -> int:
             try:
                 state, potentials, report = coupled_time_step(
                     prev, cfg.h * frac, params, tol, potentials)
-            except (NonConvergence, StepTooLarge) as exc:
+            except ChdfError as exc:
                 raise type(exc)(f"step {k}: {exc}") from exc
             left -= frac * 0.5 ** report.h_halvings
-            if perturb_hook is not None:
-                perturb_hook(k, state)
             row = diag.build_ledger_row(prev, state, potentials, report.h_used,
                                         params, energy)
             writer.write(row)
@@ -447,9 +448,8 @@ def _check_secants() -> tuple[bool, str]:
     b = rng.uniform(-0.99, 0.99, 2000)
     c = rng.uniform(0.01, 0.99, 2000)
     theta_c, w = 1.3, 0.7
-    lhs = np.asarray(mdl.secant_g_phi(a, b, c, theta_c, w)) * (a - b)
-    rhs = (np.asarray(mdl.coupling_g(a, c, theta_c, w)[0])
-           - np.asarray(mdl.coupling_g(b, c, theta_c, w)[0]))
+    lhs = mdl.secant_g_phi(a, b, c, theta_c, w) * (a - b)
+    rhs = mdl.coupling_g(a, c, theta_c, w)[0] - mdl.coupling_g(b, c, theta_c, w)[0]
     err = float(np.max(np.abs(lhs - rhs)))
     return err <= 1e-13, f"secant identity residual {err:.3e}"
 

@@ -12,7 +12,6 @@ Cell centers sit at ((i + 1/2) hx, (j + 1/2) hy).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,18 +19,6 @@ import numpy as np
 from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
 from .errors import MeanNotZero, NewtonDivergence
-
-# Worker count for the transforms; None means library default.
-_workers: int | None = None
-
-
-def set_num_threads(n: int) -> None:
-    """Cap internal transform parallelism (0 = automatic)."""
-    global _workers
-    if n < 0:
-        raise ValueError(f"thread count must be >= 0, got {n}")
-    _workers = os.cpu_count() if n == 0 else n
-
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -164,27 +151,27 @@ class VectorField:
 # ---------------------------------------------------------------------------
 
 def cc_fwd(f: np.ndarray, norm: str | None = None) -> np.ndarray:
-    return dctn(f, 2, axes=(-1, -2), norm=norm, workers=_workers)
+    return dctn(f, 2, axes=(-1, -2), norm=norm)
 
 
 def cc_inv(c: np.ndarray, norm: str | None = None) -> np.ndarray:
-    return idctn(c, 2, axes=(-1, -2), norm=norm, workers=_workers)
+    return idctn(c, 2, axes=(-1, -2), norm=norm)
 
 
 def sc_fwd(f: np.ndarray) -> np.ndarray:
-    return dct(dst(f, 2, axis=-1, workers=_workers), 2, axis=-2, workers=_workers)
+    return dct(dst(f, 2, axis=-1), 2, axis=-2)
 
 
 def sc_inv(c: np.ndarray) -> np.ndarray:
-    return idct(idst(c, 2, axis=-1, workers=_workers), 2, axis=-2, workers=_workers)
+    return idct(idst(c, 2, axis=-1), 2, axis=-2)
 
 
 def cs_fwd(f: np.ndarray) -> np.ndarray:
-    return dst(dct(f, 2, axis=-1, workers=_workers), 2, axis=-2, workers=_workers)
+    return dst(dct(f, 2, axis=-1), 2, axis=-2)
 
 
 def cs_inv(c: np.ndarray) -> np.ndarray:
-    return idst(idct(c, 2, axis=-1, workers=_workers), 2, axis=-2, workers=_workers)
+    return idst(idct(c, 2, axis=-1), 2, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +214,6 @@ def _div_coeffs(grid: Grid2D, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mean(f: ScalarField) -> float:
     """Midpoint-quadrature mean: hx hy sum(f) / (Lx Ly)."""
     return float(np.sum(f.data)) / (f.grid.nx * f.grid.ny)
-
-
-def integral(f: ScalarField) -> float:
-    """Midpoint quadrature of f over the domain."""
-    return float(np.sum(f.data)) * f.grid.cell_area
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -278,9 +260,11 @@ def hminus1_norm_sq(f: ScalarField) -> float:
 
 
 def solenoidal_part(v: VectorField) -> tuple[VectorField, np.ndarray]:
-    """The u of helmholtz_project(v) and the cosine coefficients of its p.
+    """Split v = u + grad p with div u = 0, u.n = 0, mean(p) = 0: u and the
+    cosine coefficients of p (cc_inv of them forms p).
 
-    Four transforms; the fifth, cc_inv of the coefficients, forms p.
+    p solves the Neumann problem (grad p, grad q) = (v, grad q) for all q.
+    Four transforms.
     """
     grid = v.grid
     a = sc_fwd(v.x)
@@ -288,15 +272,6 @@ def solenoidal_part(v: VectorField) -> tuple[VectorField, np.ndarray]:
     p = -_div_coeffs(grid, a, b) * grid.inv_lam
     gx, gy = _grad_coeffs(grid, p)
     return VectorField(grid, sc_inv(a - gx), cs_inv(b - gy)), p
-
-
-def helmholtz_project(v: VectorField) -> tuple[VectorField, ScalarField]:
-    """Split v = u + grad p with div u = 0, u.n = 0, mean(p) = 0.
-
-    p solves the Neumann problem (grad p, grad q) = (v, grad q) for all q.
-    """
-    u, p = solenoidal_part(v)
-    return u, ScalarField(v.grid, cc_inv(p))
 
 
 def project_velocity(v: VectorField) -> VectorField:

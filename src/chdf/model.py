@@ -64,27 +64,15 @@ class ModelParams:
         require(self.m_psi_const > 0, "m_psi_const must be > 0")
 
 
-@dataclass(frozen=True)
-class PotentialEval:
-    value: float
-    first_derivative: float
-    second_derivative: float
-
-
 def f_phi(s, theta_phi: float = 1.0):
-    """Logarithmic phase potential on (-1, 1), normalized at 0.
-
-    Accepts scalars or arrays; returns a PotentialEval for scalar input and
-    a (value, first, second) array triple otherwise.
-    """
+    """Logarithmic phase potential on (-1, 1), normalized at 0: the arrays
+    (value, first, second derivative)."""
     arr = np.asarray(s, dtype=float)
     if np.any(np.abs(arr) >= 1.0):
         raise OutOfDomain("phase potential argument outside (-1, 1)")
     val = 0.5 * theta_phi * ((1 + arr) * np.log1p(arr) + (1 - arr) * np.log1p(-arr))
     d1 = 0.5 * theta_phi * (np.log1p(arr) - np.log1p(-arr))
     d2 = theta_phi / (1.0 - arr * arr)
-    if np.isscalar(s) or arr.ndim == 0:
-        return PotentialEval(float(val), float(d1), float(d2))
     return val, d1, d2
 
 
@@ -96,8 +84,6 @@ def f_psi(s, theta_psi: float = 1.0):
     val = theta_psi * (arr * np.log(arr) + (1 - arr) * np.log1p(-arr)) + theta_psi * np.log(2.0)
     d1 = theta_psi * (np.log(arr) - np.log1p(-arr))
     d2 = theta_psi / (arr * (1.0 - arr))
-    if np.isscalar(s) or arr.ndim == 0:
-        return PotentialEval(float(val), float(d1), float(d2))
     return val, d1, d2
 
 
@@ -115,15 +101,12 @@ def coupling_g(phi, psi, theta_c: float = 0.0, w: float = 0.0):
     val = -0.5 * theta_c * p * p - w * q * (1.0 - p * p)
     d_phi = -theta_c * p + 2.0 * w * q * p
     d_psi = -w * (1.0 - p * p) * np.ones_like(q)
-    if np.isscalar(phi) and np.isscalar(psi):
-        return float(val), float(d_phi), float(d_psi)
     return val, d_phi, d_psi
 
 
 def _result(out, *args):
-    """out broadcast to the arguments' shape; a float for scalar arguments."""
-    out = out * np.ones(np.broadcast(*args).shape)
-    return float(out) if out.ndim == 0 else out
+    """out broadcast to the arguments' shape."""
+    return out * np.ones(np.broadcast(*args).shape)
 
 
 def secant_g_phi(a, b, c_arg, theta_c: float = 0.0, w: float = 0.0):
@@ -136,8 +119,7 @@ def secant_g_phi(a, b, c_arg, theta_c: float = 0.0, w: float = 0.0):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c_arg = np.asarray(c_arg, dtype=float)
-    out = (a + b) * (-0.5 * theta_c + w * c_arg)
-    return float(out) if out.ndim == 0 else out
+    return (a + b) * (-0.5 * theta_c + w * c_arg)
 
 
 def secant_g_psi(c_arg, a, b, theta_c: float = 0.0, w: float = 0.0):

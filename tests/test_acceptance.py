@@ -122,12 +122,12 @@ def test_operator_exactness():
     n = 64 * 64    # modes of about unit amplitude (unnormalised inverses)
     v = VectorField(GRID, sc_inv(n * rng.standard_normal((64, 64))),
                     cs_inv(n * rng.standard_normal((64, 64))))
-    w, _ = gridops.helmholtz_project(v)
-    w2, _ = gridops.helmholtz_project(w)
+    w, _ = gridops.solenoidal_part(v)
+    w2, _ = gridops.solenoidal_part(w)
     helm = max(float(np.max(np.abs(w2.x - w.x))), float(np.max(np.abs(w2.y - w.y))))
     grad = gridops.gradient(
         ScalarField(GRID, cc_inv(n * rng.standard_normal((64, 64)))))
-    pg, _ = gridops.helmholtz_project(grad)
+    pg, _ = gridops.solenoidal_part(grad)
     annihilation = float(np.max(np.hypot(pg.x, pg.y)))
     scale = 1 + float(np.max(np.hypot(grad.x, grad.y)))
     elapsed = time.perf_counter() - t0

@@ -117,8 +117,8 @@ def test_stationary_homogeneous_oracle(grid):
     params = ModelParams(w=1.0, theta_c=1.0, sigma2=0.1)
     seed = (ScalarField.constant(grid, 0.1), ScalarField.constant(grid, 0.5))
     sol = diag.stationary_solve(0.1, 0.5, seed, params, tol=1e-10)
-    mu_phi = mdl.f_phi(0.1).first_derivative + mdl.coupling_g(0.1, 0.5, 1.0, 1.0)[1]
-    mu_psi = mdl.f_psi(0.5).first_derivative + mdl.coupling_g(0.1, 0.5, 1.0, 1.0)[2]
+    mu_phi = mdl.f_phi(0.1)[1] + mdl.coupling_g(0.1, 0.5, 1.0, 1.0)[1]
+    mu_psi = mdl.f_psi(0.5)[1] + mdl.coupling_g(0.1, 0.5, 1.0, 1.0)[2]
     assert np.max(np.abs(sol.phi_inf.data - 0.1)) < 1e-10
     assert sol.mu_phi_inf == pytest.approx(mu_phi, abs=1e-12)
     assert sol.mu_psi_inf == pytest.approx(mu_psi, abs=1e-12)

@@ -4,9 +4,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from chdf import cli, driver, step
-from chdf import grid as gridops
 from chdf import model as mdl
 from chdf.errors import (BoundViolation, ParseError, PicardStall,
                          SnapshotFormatError, StepTooLarge, UnknownPreset,
@@ -324,6 +324,27 @@ def test_snapshot_preset_round_trip(tmp_path, grid):
     assert st.time == 1.5
 
 
+def test_snapshot_preset_checks_header_names(tmp_path, capsys):
+    # Each header must name the field it is read as; swapped paths would
+    # otherwise run with phi and psi exchanged.
+    grid = Grid2D(16, 16, 1.0, 1.0)
+    phi_path = str(tmp_path / "phi.snap")
+    psi_path = str(tmp_path / "psi.snap")
+    driver.write_snapshot(phi_path, ScalarField.constant(grid, 0.3), 0.0, "phi")
+    driver.write_snapshot(psi_path, ScalarField.constant(grid, 0.6), 0.0, "psi")
+    with pytest.raises(SnapshotFormatError, match="'psi', but it is read as 'phi'"):
+        driver.initial_condition(driver.RunConfig(
+            preset="snapshot", phi_path=psi_path, psi_path=phi_path), grid)
+    cfg_path = _write(tmp_path / "swap.cfg", MINIMAL.replace(
+        "preset = homogeneous",
+        f"preset = snapshot\nphi_path = {psi_path}\npsi_path = {phi_path}"))
+    out = tmp_path / "o"
+    assert cli.main(["run", cfg_path, "--output-dir", str(out)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == (
+        f"chdf: {psi_path}: header names field 'psi', but it is read as 'phi'\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run / ledger
 # ---------------------------------------------------------------------------
@@ -390,15 +411,31 @@ def test_run_determinism_bitwise(tmp_path):
             assert b1 == b2
 
 
-def test_run_abort_on_injected_violation(tmp_path):
+def _perturb_after_step(monkeypatch, k, perturb):
+    """Make run's step k (from 0) hand on its state as perturb(state) left it:
+    the step's ledger row, and the next step, see the perturbed state."""
+    taken = []
+    coupled = step.coupled_time_step
+
+    def perturbed(*args):
+        out = coupled(*args)
+        if len(taken) == k:
+            perturb(out[0])
+        taken.append(out)
+        return out
+
+    monkeypatch.setattr(driver, "coupled_time_step", perturbed)
+
+
+def test_run_abort_on_injected_violation(tmp_path, monkeypatch):
     cfg = _homog_cfg(tmp_path)
 
-    def hook(step_index, state):
-        if step_index == 3:
-            state.phi.data[0, 0] += 0.5   # break the phi mass law
+    def kick(state):
+        state.phi.data[0, 0] += 0.5   # break the phi mass law
 
+    _perturb_after_step(monkeypatch, 3, kick)
     with pytest.raises(Exception) as exc:
-        driver.run(cfg, perturb_hook=hook)
+        driver.run(cfg)
     assert "step 4" in str(exc.value)
     rows = driver.read_ledger(os.path.join(cfg.output_dir, cfg.series))
     assert len(rows) == 4   # the offending diagnostic row is the last one
@@ -406,10 +443,10 @@ def test_run_abort_on_injected_violation(tmp_path):
 
 def test_run_reuses_each_step_energy_unless_hooked(tmp_path, monkeypatch):
     # A row's energy_total is the next row's energy_before, so a run
-    # evaluates the total energy once, hooked or not.  The hook runs before
-    # the row is built: a no-op hook moves no ledger byte, and after a hook
-    # that moves phi the row is the ledger of the hooked state, against
-    # whose energy the next row's slack closes.
+    # evaluates the total energy once, perturbed or not.  The perturbation
+    # lands before the row is built: a no-op one moves no ledger byte, and
+    # after one that moves phi the row is the ledger of the perturbed state,
+    # against whose energy the next row's slack closes.
     text = """
 [grid]
 nx = 16
@@ -437,21 +474,22 @@ width = 0.1
 
     hooked = []
 
-    def bump(k, state):
+    def bump(state):
         # Zero-mean at the cell centres; it moves phi toward the interface.
-        if k == 1:
-            X, _ = state.phi.grid.cell_centers()
-            state.phi.data += 1e-3 * np.cos(np.pi * X / state.phi.grid.Lx)
-            hooked.append(state.copy())
+        X, _ = state.phi.grid.cell_centers()
+        state.phi.data += 1e-3 * np.cos(np.pi * X / state.phi.grid.Lx)
+        hooked.append(state.copy())
 
     monkeypatch.setattr(mdl, "total_energy", counted)
     ledgers = []
-    for name, hook in (("a", None), ("b", lambda k, state: None), ("c", bump)):
+    for name, perturb in (("a", None), ("b", lambda state: None), ("c", bump)):
         out = tmp_path / name
         cfg = driver.load_config(_write(
             tmp_path / f"{name}.cfg", text + f"\n[output]\ndirectory = {out}\n"))
+        if perturb is not None:
+            _perturb_after_step(monkeypatch, 1, perturb)
         calls.clear()
-        assert driver.run(cfg, perturb_hook=hook) == 0
+        assert driver.run(cfg) == 0
         assert len(calls) == 1
         ledgers.append(open(os.path.join(cfg.output_dir, cfg.series), "rb").read())
     assert ledgers[0] == ledgers[1]
@@ -465,6 +503,44 @@ width = 0.1
              + params.m_psi_const * row.grad_mu_psi_sq + row.reaction_term)
     assert row.slack == pytest.approx(e_prev - row.energy_total - cfg.h * terms,
                                       abs=1e-13 * (1.0 + abs(e_prev)))
+
+
+def test_run_names_the_step_of_every_step_error(tmp_path, capsys):
+    # At h = 1 the third step's phi solve starts outside (-1, 1); the
+    # OutOfDomain from inside the step keeps its type and exit status.
+    cfg_path = _write(tmp_path / "far.cfg", """
+[grid]
+nx = 16
+ny = 16
+Lx = 4
+Ly = 4
+
+[time]
+h = 1
+t_end = 3
+
+[model]
+sigma1 = 0.5
+theta_c = 4
+w = 0.5
+alpha = 1
+r = 4
+eta_const = 100
+sigma2 = 0.1
+beta = 0.1
+
+[initial]
+preset = stripe
+mean_phi = -0.6
+mean_psi = 0.1
+amplitude = 0.5
+width = 2
+""")
+    out = tmp_path / "o"
+    assert cli.main(["run", cfg_path, "--output-dir", str(out)]) == cli.EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "chdf: step 2: phase potential argument outside (-1, 1)\n")
+    assert len(driver.read_ledger(str(out / "ledger.csv"))) == 2
 
 
 def test_run_makes_up_time_lost_to_a_halved_step(tmp_path, monkeypatch):
@@ -632,14 +708,44 @@ def test_cli_run_starts_from_steady_output_at_time_zero(tmp_path):
     assert driver.read_ledger(str(out / "ledger.csv"))[0].time == 1e-3
 
 
+def _workers_in_command(monkeypatch, cfg_path, threads, fail=False):
+    """scipy.fft's worker count inside `chdf check` under CHDF_THREADS (None
+    if the command never ran), the exit status, and the count after."""
+    seen = []
+
+    def spy(cfg):
+        seen.append(scipy.fft.get_workers())
+        if fail:
+            raise OSError("spy: write failed")
+        return 0
+
+    monkeypatch.setattr(driver, "check", spy)
+    monkeypatch.setenv("CHDF_THREADS", threads)
+    rc = cli.main(["check", cfg_path])
+    return seen[0] if seen else None, rc, scipy.fft.get_workers()
+
+
 def test_cli_threads_env(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path / "c.cfg", MINIMAL)
-    monkeypatch.setenv("CHDF_THREADS", "1")
+    before = scipy.fft.get_workers()
     out = tmp_path / "o"
-    monkeypatch.setattr(gridops, "_workers", None)
+    monkeypatch.setenv("CHDF_THREADS", "1")
     assert cli.main(["run", cfg_path, "--output-dir", str(out)]) == 0
-    # The setting holds for the call only.
-    assert gridops._workers is None
-    for bad in ("soon", "-3"):
-        monkeypatch.setenv("CHDF_THREADS", bad)
-        assert cli.main(["run", cfg_path]) == cli.EXIT_VALIDATION
+    # The setting holds for the call only, an IO-error exit included.
+    assert scipy.fft.get_workers() == before
+    assert _workers_in_command(monkeypatch, cfg_path, "1") == (1, 0, before)
+    assert (_workers_in_command(monkeypatch, cfg_path, "2", fail=True)
+            == (2, cli.EXIT_IO, before))
+    for good, n in (("+2", 2), (" 1", 1)):
+        assert _workers_in_command(monkeypatch, cfg_path, good) == (n, 0, before)
+    for bad in ("soon", "-3", "", "x", "-1"):
+        assert (_workers_in_command(monkeypatch, cfg_path, bad)
+                == (None, cli.EXIT_VALIDATION, before))
+
+
+def test_cli_threads_zero_means_every_core(tmp_path, monkeypatch):
+    cfg_path = _write(tmp_path / "c.cfg", MINIMAL)
+    before = scipy.fft.get_workers()
+    assert _workers_in_command(monkeypatch, cfg_path, "2") == (2, 0, before)
+    assert (_workers_in_command(monkeypatch, cfg_path, "0")
+            == (os.cpu_count(), 0, before))

@@ -1,20 +1,28 @@
-"""Every top-level import of a chdf module or test module is used by it.
+"""Every top-level import of a chdf module or test module is used by it, and
+every top-level definition in chdf is used by the package.
 
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by an import statement in a module's body must appear as a name
 somewhere in that module.  `__init__.py` is skipped, since its imports are
-the package's re-exports.
+the package's re-exports.  A top-level def or class of a chdf module must be
+named by some chdf module outside its own body, re-exported by
+`__init__.py`, or looked up by the benchmark's tracer
+(perfbench/tracing.py TARGETS): nothing in the package exists only for the
+tests.
 """
 
 import ast
+import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "chdf"
-MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-           + sorted(TESTS.glob("*.py")))
+PACKAGE = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = PACKAGE + sorted(TESTS.glob("*.py"))
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +50,45 @@ def test_detector_finds_an_unused_import():
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
+
+
+def _names(node) -> Counter:
+    """Each name that node reads, as a variable, an attribute or an import."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+    return out
+
+
+def unused_definitions(sources: dict[str, str], kept: set[tuple[str, str]]) -> list[str]:
+    """Top-level defs and classes, as "module.name", that no module in sources
+    names outside the definition itself and that kept does not hold."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    return [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and (mod, node.name) not in kept
+            and named[node.name] == _names(node)[node.name]]
+
+
+def test_detector_finds_an_unused_definition():
+    sources = {"a": "def f():\n    return f()\n\ndef g():\n    pass\n\nclass C:\n    pass\n",
+               "b": "from .a import g\n\ndef h():\n    pass\n"}
+    assert unused_definitions(sources, set()) == ["a.f", "a.C", "b.h"]
+    assert unused_definitions(sources, {("a", "C"), ("b", "h")}) == ["a.f"]
+
+
+def test_every_definition_is_used_by_the_package():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {(node.module, alias.name) for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unused_definitions(sources, exported | set(tracing.TARGETS)) == []

@@ -46,13 +46,13 @@ def test_params_defaults_valid():
 
 def test_f_phi_values_and_symmetry():
     ev = mdl.f_phi(0.0)
-    assert ev.value == 0.0
-    assert ev.first_derivative == 0.0
-    assert ev.second_derivative == pytest.approx(1.0)
-    assert mdl.f_phi(0.5).value == pytest.approx(mdl.f_phi(-0.5).value)
+    assert ev[0] == 0.0
+    assert ev[1] == 0.0
+    assert ev[2] == pytest.approx(1.0)
+    assert mdl.f_phi(0.5)[0] == pytest.approx(mdl.f_phi(-0.5)[0])
     # F'(s) = (theta/2) ln((1+s)/(1-s))
     s = 0.3
-    assert mdl.f_phi(s, 2.0).first_derivative == pytest.approx(np.log(1.3 / 0.7))
+    assert mdl.f_phi(s, 2.0)[1] == pytest.approx(np.log(1.3 / 0.7))
 
 
 def test_f_phi_derivatives_match_finite_differences():
@@ -66,8 +66,8 @@ def test_f_phi_derivatives_match_finite_differences():
 
 def test_f_psi_normalization_and_convexity():
     ev = mdl.f_psi(0.5, 1.0)
-    assert ev.value == pytest.approx(0.0, abs=1e-15)
-    assert ev.first_derivative == pytest.approx(0.0, abs=1e-15)
+    assert ev[0] == pytest.approx(0.0, abs=1e-15)
+    assert ev[1] == pytest.approx(0.0, abs=1e-15)
     s = np.linspace(0.01, 0.99, 99)
     d2 = mdl.f_psi(s, 0.8)[2]
     assert np.all(d2 >= 4 * 0.8 - 1e-12)   # 1/(s(1-s)) >= 4
@@ -186,7 +186,7 @@ def test_energy_of_homogeneous_state():
     params = ModelParams(theta_c=1.0, w=0.5, sigma2=0.3)
     phi = ScalarField.constant(grid, 0.2)
     psi = ScalarField.constant(grid, 0.4)
-    expected = (mdl.f_phi(0.2).value + mdl.f_psi(0.4).value
+    expected = (mdl.f_phi(0.2)[0] + mdl.f_psi(0.4)[0]
                 + mdl.coupling_g(0.2, 0.4, 1.0, 0.5)[0]) * grid.area
     assert mdl.free_energy(phi, psi, params) == pytest.approx(expected, abs=1e-13)
 
