@@ -21,7 +21,7 @@ from .errors import (BoundViolation, ChdfError, MeanNotZero, NewtonDivergence,
 from .driver import read_ledger
 from .grid import Grid2D, ScalarField, VectorField
 from .model import ModelParams, coupling_g, f_phi, f_psi, total_energy
-from .step import (ChemicalPotentials, SolverTolerances, State, StepReport,
-                   coupled_time_step, mean_targets)
+from .step import (ChemicalPotentials, State, StepReport, coupled_time_step,
+                   mean_targets)
 
 __version__ = "0.1.0"

@@ -24,11 +24,13 @@ from .errors import (BoundViolation, ChdfError, ParseError,
                      SnapshotFormatError, UnknownPreset, ValidationError)
 from .grid import Grid2D, ScalarField, VectorField
 from .model import ModelParams
-from .step import (ChemicalPotentials, SolverTolerances, State,
-                   coupled_time_step)
+from .step import ChemicalPotentials, State, coupled_time_step
 
 _SNAPSHOT_MAGIC = "CHDF1"
 _STRIPE_CLIP = 1e-3
+# Relative floor of a step's energy slack: `run` and `check` fail a step
+# whose slack falls below -ENERGY_TOL (1 + |energy before the step|).
+ENERGY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +47,6 @@ class RunConfig:
     t_end: float = 0.1
     output_every: int = 100
     params: ModelParams = field(default_factory=ModelParams)
-    tolerances: SolverTolerances = field(default_factory=SolverTolerances)
     preset: str = "homogeneous"
     mean_phi: float = 0.0
     mean_psi: float = 0.5
@@ -60,15 +61,13 @@ class RunConfig:
     snapshot_prefix: str = "state"
 
 
-# The keys of each config section.  [model] and [tolerances] set the fields
-# of ModelParams and SolverTolerances, the other sections those of RunConfig,
-# where [output] directory is output_dir.  A key's type is the type of its
-# field's default.
+# The keys of each config section.  [model] sets the fields of ModelParams,
+# the other sections those of RunConfig, where [output] directory is
+# output_dir.  A key's type is the type of its field's default.
 _SECTIONS = {
     "grid": ("nx", "ny", "Lx", "Ly"),
     "time": ("h", "t_end", "output_every"),
     "model": tuple(f.name for f in fields(ModelParams)),
-    "tolerances": tuple(f.name for f in fields(SolverTolerances)),
     "initial": ("preset", "mean_phi", "mean_psi", "amplitude", "width",
                 "noise_amplitude", "phi_path", "psi_path", "seed"),
     "output": ("directory", "series", "snapshot_prefix"),
@@ -99,9 +98,11 @@ def load_config(path: str) -> RunConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ParseError(f"malformed config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path} is not UTF-8 text: {exc}") from exc
 
     default = RunConfig()
-    owners = {"model": default.params, "tolerances": default.tolerances}
+    owners = {"model": default.params}
     values: dict[str, dict] = {section: {} for section in _SECTIONS}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -116,8 +117,7 @@ def load_config(path: str) -> RunConfig:
     flat = {name: val for section, given in values.items()
             if section not in owners for name, val in given.items()}
     try:
-        cfg = RunConfig(params=ModelParams(**values["model"]),
-                        tolerances=SolverTolerances(**values["tolerances"]), **flat)
+        cfg = RunConfig(params=ModelParams(**values["model"]), **flat)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     # Grid2D validates nx/ny/Lx/Ly on construction; surface that now.
@@ -350,12 +350,11 @@ def run(cfg: RunConfig) -> int:
     grid = Grid2D(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
     state = initial_condition(cfg, grid)
     params = cfg.params
-    tol = cfg.tolerances
     os.makedirs(cfg.output_dir, exist_ok=True)
     writer = LedgerWriter(os.path.join(cfg.output_dir, cfg.series))
 
     energy = mdl.total_energy(state, params)
-    slack_floor = -tol.energy_tol * (1.0 + abs(energy))
+    slack_floor = -ENERGY_TOL * (1.0 + abs(energy))
     psi_mean_0 = gridops.mean(state.psi)
     # Time still to go, in units of h.  A step halved k times advances
     # 2**-k of its request, and the next steps make that up, so `left` stays
@@ -369,7 +368,7 @@ def run(cfg: RunConfig) -> int:
             prev = state
             try:
                 state, potentials, report = coupled_time_step(
-                    prev, cfg.h * frac, params, tol, potentials)
+                    prev, cfg.h * frac, params, potentials)
             except ChdfError as exc:
                 raise type(exc)(f"step {k}: {exc}") from exc
             left -= frac * 0.5 ** report.h_halvings
@@ -408,7 +407,7 @@ def steady(cfg: RunConfig) -> int:
     state = initial_condition(cfg, grid)
     sol = diag.stationary_solve(
         gridops.mean(state.phi), gridops.mean(state.psi),
-        (state.phi, state.psi), cfg.params, tol=1e-10)
+        (state.phi, state.psi), cfg.params)
     os.makedirs(cfg.output_dir, exist_ok=True)
     prefix = os.path.join(cfg.output_dir, cfg.snapshot_prefix)
     write_snapshot(f"{prefix}_phi_steady.snap", sol.phi_inf, math.inf, "phi")
@@ -454,16 +453,15 @@ def _check_secants() -> tuple[bool, str]:
     return err <= 1e-13, f"secant identity residual {err:.3e}"
 
 
-def _check_one_step(grid: Grid2D, params: ModelParams,
-                    tol: SolverTolerances) -> tuple[bool, str]:
+def _check_one_step(grid: Grid2D, params: ModelParams) -> tuple[bool, str]:
     X, _ = grid.cell_centers()
     phi = 0.5 * np.tanh((X - 0.5 * grid.Lx) / (0.1 * grid.Lx))
     state = State(VectorField.zero(grid), ScalarField(grid, phi),
                   ScalarField.constant(grid, 0.5))
     e0 = mdl.total_energy(state, params)
-    nxt, potentials, report = coupled_time_step(state, 1e-3, params, tol)
+    nxt, potentials, report = coupled_time_step(state, 1e-3, params)
     row = diag.build_ledger_row(state, nxt, potentials, report.h_used, params, e0)
-    ok = (row.slack >= -tol.energy_tol * (1.0 + abs(e0))
+    ok = (row.slack >= -ENERGY_TOL * (1.0 + abs(e0))
           and abs(row.mean_psi - 0.5) <= 1e-12
           and abs(row.mean_phi - report.mass_target_a) <= 1e-12)
     return ok, (f"one-step slack {row.slack:.3e}, "
@@ -477,7 +475,7 @@ def check(cfg: RunConfig) -> int:
         ("spectral operators", _check_operators(grid)),
         ("drag scalar roots", _check_roots()),
         ("coupling secants", _check_secants()),
-        ("one-step energy/mass", _check_one_step(grid, cfg.params, cfg.tolerances)),
+        ("one-step energy/mass", _check_one_step(grid, cfg.params)),
     ]
     all_ok = True
     for name, (ok, detail) in checks:

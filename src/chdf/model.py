@@ -70,8 +70,9 @@ def f_phi(s, theta_phi: float = 1.0):
     arr = np.asarray(s, dtype=float)
     if np.any(np.abs(arr) >= 1.0):
         raise OutOfDomain("phase potential argument outside (-1, 1)")
-    val = 0.5 * theta_phi * ((1 + arr) * np.log1p(arr) + (1 - arr) * np.log1p(-arr))
-    d1 = 0.5 * theta_phi * (np.log1p(arr) - np.log1p(-arr))
+    lp, lm = np.log1p(arr), np.log1p(-arr)
+    val = 0.5 * theta_phi * ((1 + arr) * lp + (1 - arr) * lm)
+    d1 = 0.5 * theta_phi * (lp - lm)
     d2 = theta_phi / (1.0 - arr * arr)
     return val, d1, d2
 
@@ -81,8 +82,9 @@ def f_psi(s, theta_psi: float = 1.0):
     arr = np.asarray(s, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise OutOfDomain("surfactant potential argument outside (0, 1)")
-    val = theta_psi * (arr * np.log(arr) + (1 - arr) * np.log1p(-arr)) + theta_psi * np.log(2.0)
-    d1 = theta_psi * (np.log(arr) - np.log1p(-arr))
+    ls, lm = np.log(arr), np.log1p(-arr)
+    val = theta_psi * (arr * ls + (1 - arr) * lm) + theta_psi * np.log(2.0)
+    d1 = theta_psi * (ls - lm)
     d2 = theta_psi / (arr * (1.0 - arr))
     return val, d1, d2
 

@@ -25,9 +25,9 @@ each of them at tau_k = max(its full tolerance, PICARD_FORCING Delta_k-1),
 Delta_k-1 the previous iteration's Picard change (max change of mu_phi_hat,
 mu_psi_hat and, once there are two iterates, of phi and psi), though only
 after at least one update when its start misses the full tolerance.  An
-iterate is accepted once Delta_k <= picard_tol and each of the three
-solves of that iteration met its full tolerance (newton_tol with its
-round-off floor, velocity_tol): Delta leaves out u, so without the second
+iterate is accepted once Delta_k <= PICARD_TOL and each of the three
+solves of that iteration met its full tolerance (NEWTON_TOL with its
+round-off floor, VELOCITY_TOL): Delta leaves out u, so without the second
 condition a loose velocity solve could end the loop unsolved.
 """
 
@@ -86,29 +86,13 @@ class StepReport:
 
     picard_iterations: int
     # Largest per-solve counts over the step's Picard iterations: the
-    # residual evaluations max_newton caps, and the velocity outer_iterations.
+    # residual evaluations MAX_NEWTON caps, and the velocity outer_iterations.
     newton_iterations_phi: int
     newton_iterations_psi: int
     velocity_iterations: int
     mass_target_a: float
     h_used: float
     h_halvings: int = 0
-
-
-@dataclass(frozen=True)
-class SolverTolerances:
-    newton_tol: float = 1e-11
-    picard_tol: float = 1e-11
-    energy_tol: float = 1e-9
-    velocity_tol: float = 1e-11
-    max_newton: int = 50
-    max_picard: int = 100
-
-    def __post_init__(self):
-        if min(self.newton_tol, self.picard_tol, self.energy_tol, self.velocity_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_newton < 1 or self.max_picard < 1:
-            raise ValueError("iteration caps must be positive")
 
 
 def mean_targets(phi_prev: ScalarField, psi_prev: ScalarField, h: float,
@@ -166,6 +150,15 @@ def _damped_update(cur: np.ndarray, delta: np.ndarray, lo: float, hi: float) -> 
     return trial
 
 
+# Stopping rules of each step: max|F| of the psi and phi Newton solves,
+# the momentum residual of the velocity solve, the Picard change that ends
+# the loop, and the caps on Newton updates and Picard iterations.
+NEWTON_TOL = 1e-11
+VELOCITY_TOL = 1e-11
+PICARD_TOL = 1e-11
+MAX_NEWTON = 50
+MAX_PICARD = 100
+
 # Eisenstat-Walker forcing for the inner linear solves of bounded_newton
 # (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996) 16; Kelley,
 # Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, 6.3).
@@ -183,7 +176,7 @@ PICARD_FORCING = 0.01
 # symbol*x term, below which bounded_newton does not ask max|F| to fall
 # (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
 # ch. 5).  A factor of 1 still leaves some L = 1 solves updating at
-# round-off until max_newton.
+# round-off until MAX_NEWTON.
 ROUNDOFF_FACTOR = 4.0
 
 
@@ -306,7 +299,6 @@ def ch_subsystem_solve(
     targets: tuple[float, float],
     h: float,
     params: ModelParams,
-    tol: SolverTolerances,
     start: tuple[ScalarField, ScalarField] | None = None,
     loose_tol: float = 0.0,
 ) -> tuple[ScalarField, ScalarField, ChemicalPotentials, int, int, bool]:
@@ -322,10 +314,10 @@ def ch_subsystem_solve(
     coupling secant freezes phi at the old step, while the phi pair's
     secant takes the new psi.
 
-    Each Newton solve runs to tol.newton_tol, or to loose_tol after one
+    Each Newton solve runs to NEWTON_TOL, or to loose_tol after one
     update (`bounded_newton`).  Returns (phi, psi, potentials, phi Newton
     count, psi Newton count, met), met saying whether both solves met
-    tol.newton_tol (with its round-off floor).  The means of phi, psi
+    NEWTON_TOL (with its round-off floor).  The means of phi, psi
     equal the targets exactly, each
     mu_hat is zero-mean and each mu is mu_hat plus the mean of its
     pointwise term at the solution, as bounded_newton returns it.  The
@@ -356,7 +348,7 @@ def ch_subsystem_solve(
             x0 = x_prev + (target - x_prev.mean())
         (x,), iters, (pbar,), met_tol = bounded_newton(
             x0[None], pointwise, symbol[i:i + 1] + grid.inv_lam / (m * h), k_hat,
-            [box], [target], tol.newton_tol, tol.max_newton, label=label,
+            [box], [target], NEWTON_TOL, MAX_NEWTON, label=label,
             loose_tol=loose_tol)
         mu_hat = -cc_inv(grid.inv_lam * cc_fwd(x) / (m * h) + k_hat)
         return x, mu_hat, iters, pbar, met_tol
@@ -380,7 +372,7 @@ def ch_subsystem_solve(
             met_phi and met_psi)
 
 
-def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverTolerances,
+def _attempt_step(prev: State, h: float, params: ModelParams,
                   init_potentials: ChemicalPotentials | None
                   ) -> tuple[State, ChemicalPotentials, StepReport]:
     grid = prev.phi.grid
@@ -397,7 +389,7 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
     # and the last Picard change loosens their tolerances (inexact Picard).
     phi = psi = u = change = None
     newton_phi = newton_psi = velocity_its = 0
-    for picard_it in range(1, tol.max_picard + 1):
+    for picard_it in range(1, MAX_PICARD + 1):
         loose_tol = 0.0 if change is None else PICARD_FORCING * change
         gmp = gridops.gradient(ScalarField(grid, mu_phi_hat))
         gms = gridops.gradient(ScalarField(grid, mu_psi_hat))
@@ -406,12 +398,12 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
             -(prev.phi.data * gmp.x + prev.psi.data * gms.x),
             -(prev.phi.data * gmp.y + prev.psi.data * gms.y),
         )
-        u, _, vel = velocity_solve(prev.u, force, h, params, tol=tol.velocity_tol,
+        u, _, vel = velocity_solve(prev.u, force, h, params, tol=VELOCITY_TOL,
                                    start=u, loose_tol=loose_tol)
         velocity_its = max(velocity_its, vel.outer_iterations)
 
         phi_new, psi_new, potentials, it_phi, it_psi, met_tol = ch_subsystem_solve(
-            prev, u, targets, h, params, tol,
+            prev, u, targets, h, params,
             start=None if phi is None else (phi, psi), loose_tol=loose_tol)
         newton_phi = max(newton_phi, it_phi)
         newton_psi = max(newton_psi, it_psi)
@@ -429,7 +421,7 @@ def _attempt_step(prev: State, h: float, params: ModelParams, tol: SolverToleran
         # The change leaves out u, so it can vanish at an iterate that a
         # loose solve left unsolved: accept only one that all three solves
         # met at their full tolerances.
-        if change <= tol.picard_tol and vel.met_tol and met_tol:
+        if change <= PICARD_TOL and vel.met_tol and met_tol:
             break
     else:
         raise PicardStall("velocity/phase coupling did not converge")
@@ -442,7 +434,6 @@ def coupled_time_step(
     prev: State,
     h: float,
     params: ModelParams,
-    tol: SolverTolerances,
     init_potentials: ChemicalPotentials | None = None,
 ) -> tuple[State, ChemicalPotentials, StepReport]:
     """Advance one step; on a Picard stall, halve h up to five times.
@@ -455,7 +446,7 @@ def coupled_time_step(
     h_try = h
     while True:
         try:
-            state, potentials, report = _attempt_step(prev, h_try, params, tol,
+            state, potentials, report = _attempt_step(prev, h_try, params,
                                                       init_potentials)
             break
         except PicardStall:

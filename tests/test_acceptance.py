@@ -20,7 +20,7 @@ from chdf.darcy import forchheimer_scalar_root, velocity_solve
 from chdf.errors import ValidationError
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
-from chdf.step import SolverTolerances, State, coupled_time_step
+from chdf.step import State, coupled_time_step
 
 GRID = Grid2D(64, 64, 1.0, 1.0)
 H = 1e-3
@@ -33,14 +33,13 @@ def _stripe_state(grid):
         width=0.08), grid)
 
 
-def _advance(state, params, n, h=H, tol=None, pots=None):
+def _advance(state, params, n, h=H, pots=None):
     """n steps from state: (final state, potentials, reports, ledger rows)."""
-    tol = tol or SolverTolerances()
     energy = mdl.total_energy(state, params)
     reports, rows = [], []
     for _ in range(n):
         prev = state
-        state, pots, rep = coupled_time_step(prev, h, params, tol, pots)
+        state, pots, rep = coupled_time_step(prev, h, params, pots)
         reports.append(rep)
         rows.append(diag.build_ledger_row(prev, state, pots, rep.h_used, params, energy))
         energy = rows[-1].energy_total

@@ -52,7 +52,7 @@ def test_tracer_notes_read_the_reports():
     assert type(notes["darcy.solve"](args, velocity_solve(*args))) is int
     pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
     prev = step.State(zero, ScalarField(grid, pert), ScalarField(grid, 0.5 - pert))
-    args = (prev, 1e-3, ModelParams(), step.SolverTolerances())
+    args = (prev, 1e-3, ModelParams())
     result = step.coupled_time_step(*args)
     counts = notes["step.step"](args, result)
     assert len(counts) == 4 and all(type(c) is int for c in counts)
@@ -109,8 +109,7 @@ def test_tracer_krylov_sees_darcy_ch_and_stationary_solves(monkeypatch):
     prev = step.State(VectorField.zero(grid), ScalarField(grid, pert),
                       ScalarField(grid, 0.5 - pert))
     del callers[:]
-    step.coupled_time_step(prev, 1e-3, ModelParams(w=1.0, theta_c=1.0),
-                           step.SolverTolerances())
+    step.coupled_time_step(prev, 1e-3, ModelParams(w=1.0, theta_c=1.0))
     assert "chdf.step" in callers
     del callers[:]
     seed = (ScalarField(grid, 0.1 + pert), ScalarField(grid, 0.5 - pert))

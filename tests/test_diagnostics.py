@@ -12,8 +12,7 @@ from chdf import model as mdl
 from chdf.errors import ValidationError
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
-from chdf.step import (ChemicalPotentials, SolverTolerances, State,
-                       coupled_time_step)
+from chdf.step import ChemicalPotentials, State, coupled_time_step
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +59,10 @@ def test_equilibrium_residual_decreases_along_run(grid):
     state = State(VectorField.zero(grid),
                   ScalarField(grid, 0.1 + 0.05 * np.cos(np.pi * X)),
                   ScalarField.constant(grid, 0.5))
-    tol = SolverTolerances()
     samples = []
     pots = None
     for k in range(40):
-        state, pots, _ = coupled_time_step(state, 1e-3, params, tol, pots)
+        state, pots, _ = coupled_time_step(state, 1e-3, params, pots)
         if k % 10 == 9:
             samples.append(diag.equilibrium_residual(state, pots, params))
     assert all(b <= a + 1e-9 for a, b in zip(samples, samples[1:]))
@@ -186,8 +184,7 @@ def test_ledger_terms_reproduce_slack_with_reaction(grid):
     pots = None
     for _ in range(3):
         prev = state
-        state, pots, report = coupled_time_step(prev, h, params,
-                                                SolverTolerances(), pots)
+        state, pots, report = coupled_time_step(prev, h, params, pots)
         row = diag.build_ledger_row(prev, state, pots, report.h_used, params, e_prev)
         terms = (row.dissipation_d2 + row.dissipation_dr
                  + params.m_phi_const * row.grad_mu_phi_sq
@@ -203,8 +200,7 @@ def test_build_ledger_row_matches_state(grid):
     state0 = State(VectorField.zero(grid),
                    ScalarField(grid, 0.5 * np.tanh((X - 0.5) / 0.1)),
                    ScalarField.constant(grid, 0.5))
-    state, pots, report = coupled_time_step(state0, 1e-3, params,
-                                            SolverTolerances())
+    state, pots, report = coupled_time_step(state0, 1e-3, params)
     row = diag.build_ledger_row(state0, state, pots, report.h_used, params,
                                 mdl.total_energy(state0, params))
     assert row.time == state.time

@@ -1,12 +1,13 @@
 """Configuration, presets, snapshot/ledger formats, and the CLI."""
 
+import inspect
 import os
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from chdf import cli, driver, step
+from chdf import cli, driver, errors, step
 from chdf import model as mdl
 from chdf.errors import (BoundViolation, ParseError, PicardStall,
                          SnapshotFormatError, StepTooLarge, UnknownPreset,
@@ -48,14 +49,12 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.nx == 16 and cfg.Lx == 1.0
     assert cfg.mean_phi == 0.2 and cfg.mean_psi == 0.5
     assert cfg.params.r == 3.0
-    assert cfg.tolerances.newton_tol == 1e-11
     assert cfg.output_dir == "out"
 
 
 def test_unknown_key_rejected(tmp_path):
-    # newton_damping_min was removed with the bounded Newton halving fallback.
-    for section, line in (("model", "wibble = 3"),
-                          ("tolerances", "newton_damping_min = 1e-4")):
+    # The Newton cap is a constant of the step, not a key of [model] either.
+    for section, line in (("model", "wibble = 3"), ("model", "max_newton = 50")):
         key = line.split()[0]
         path = _write(tmp_path / "b.cfg", MINIMAL + f"\n[{section}]\n{line}\n")
         with pytest.raises(ValidationError, match=key):
@@ -67,6 +66,31 @@ def test_unknown_section_rejected(tmp_path):
     bad = MINIMAL + "\n[mystery]\nx = 1\n"
     with pytest.raises(ValidationError, match="mystery"):
         driver.load_config(_write(tmp_path / "c.cfg", bad))
+
+
+@pytest.mark.parametrize("line", ["velocity_tol = 1e-16", "newton_tol = 1e-20",
+                                  "max_newton = 2"])
+def test_tolerances_section_rejected(tmp_path, line):
+    # The solver's stopping rules are constants of the step: a config cannot
+    # set one below round-off or cap Newton short of convergence.
+    path = _write(tmp_path / "tol.cfg", MINIMAL + f"\n[tolerances]\n{line}\n")
+    with pytest.raises(ValidationError, match="tolerances"):
+        driver.load_config(path)
+    out = tmp_path / "o"
+    assert cli.main(["run", path, "--output-dir", str(out)]) == cli.EXIT_VALIDATION
+    assert not (out / "ledger.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check", "steady"])
+def test_config_that_is_not_utf8_is_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes((MINIMAL + "# caf\xe9\n").encode("latin-1"))
+    with pytest.raises(ParseError, match="latin1.cfg"):
+        driver.load_config(str(path))
+    out = tmp_path / "o"
+    assert cli.main([command, str(path), "--output-dir", str(out)]) == cli.EXIT_VALIDATION
+    assert "latin1.cfg" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_c_out_of_interval_named(tmp_path):
@@ -106,7 +130,7 @@ def test_t_end_below_one_step_rejected(tmp_path):
 def test_non_numeric_value_is_parse_error(tmp_path):
     cases = [("model", "alpha", "fast"), ("time", "h", "nan"),
              ("time", "t_end", "inf"), ("grid", "Lx", "nan"),
-             ("initial", "amplitude", "nan"), ("tolerances", "newton_tol", "nan")]
+             ("initial", "amplitude", "nan")]
     for section, key, raw in cases:
         text = "\n".join(ln for ln in MINIMAL.splitlines()
                          if not ln.startswith(f"{key} ="))
@@ -156,7 +180,7 @@ def test_every_key_loads_into_its_field(tmp_path):
         psi_path="in/psi.snap", seed=9, output_dir="results",
         series="rows.csv", snapshot_prefix="run")
     default = driver.RunConfig()
-    assert set(expected) == set(vars(default)) - {"params", "tolerances"}
+    assert set(expected) == set(vars(default)) - {"params"}
     cfg = driver.load_config(_write(tmp_path / "every.cfg", EVERY_KEY))
     for name, value in expected.items():
         assert value != getattr(default, name), name
@@ -613,7 +637,7 @@ def _drop_snapshots(tmp_path, grid):
 @pytest.mark.parametrize("case", ["stripe-128", "drop-64"])
 def test_unit_domain_solves_stop_at_their_round_off_floor(tmp_path, case):
     # On the unit square the Laplacian's top eigenvalue puts the residual's
-    # round-off above newton_tol = 1e-11: without the floor these inputs
+    # round-off above step.NEWTON_TOL = 1e-11: without the floor these inputs
     # die with NewtonDivergence, the stripe at step 0 and the drop at step 6.
     # run() still enforces the slack, bound and mass checks on every step.
     nx, steps = (128, 3) if case == "stripe-128" else (64, 8)
@@ -662,6 +686,23 @@ def test_cli_solver_failure_exit_code(tmp_path):
 
 def test_cli_io_failure_exit_code(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == cli.EXIT_IO
+
+
+def test_every_error_class_has_an_exit_status(tmp_path, monkeypatch, capsys):
+    # cli.main maps errors to exit statuses by hand-written except lists: a
+    # new ChdfError subclass missing from them would escape as a traceback.
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.ChdfError) and cls is not errors.ChdfError]
+    assert {errors.ParseError, errors.PicardStall, errors.SnapshotFormatError} <= set(classes)
+    cfg_path = _write(tmp_path / "c.cfg", MINIMAL)
+    for cls in classes:
+        def fail(cfg, cls=cls):
+            raise cls("injected")
+
+        monkeypatch.setattr(driver, "run", fail)
+        status = cli.main(["run", cfg_path])
+        assert status in (cli.EXIT_VALIDATION, cli.EXIT_SOLVER, cli.EXIT_IO), cls
+        assert capsys.readouterr().err == "chdf: injected\n", cls
 
 
 @pytest.mark.parametrize("nx, ny, nbytes", [(0, 16, 0), (3, 16, 384), (-1, -1, 8)])

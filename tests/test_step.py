@@ -12,8 +12,8 @@ from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
 from chdf.grid import inv_neg_lap, neg_lap
 from chdf import diagnostics, driver, step
-from chdf.step import (SolverTolerances, State, _damped_update, _p0,
-                       ch_subsystem_solve, coupled_time_step, mean_targets)
+from chdf.step import (State, _damped_update, _p0, ch_subsystem_solve,
+                       coupled_time_step, mean_targets)
 
 
 @pytest.fixture(scope="module")
@@ -120,15 +120,14 @@ def test_projected_updates_keep_a_clipping_solve_inside(monkeypatch):
         return out
 
     monkeypatch.setattr(step, "_damped_update", spy)
-    tol = SolverTolerances()
     e0 = mdl.total_energy(prev, params)
-    out = coupled_time_step(prev, 0.1, params, tol)
+    out = coupled_time_step(prev, 0.1, params)
     nxt, _, report = out
     assert any(projected)
     nxt.validate()
     assert abs(gridops.mean(nxt.phi) - report.mass_target_a) <= 1e-13
     assert abs(gridops.mean(nxt.psi) - gridops.mean(prev.psi)) <= 1e-13
-    assert _ledger_row(prev, out, params).slack >= -tol.energy_tol * (1.0 + abs(e0))
+    assert _ledger_row(prev, out, params).slack >= -driver.ENERGY_TOL * (1.0 + abs(e0))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def test_homogeneous_rest_state_is_fixed_point(grid):
     params = ModelParams(w=1.0, theta_c=1.0)
     st = State(VectorField.zero(grid), ScalarField.constant(grid, 0.2),
                ScalarField.constant(grid, 0.5))
-    out = coupled_time_step(st, 1e-3, params, SolverTolerances())
+    out = coupled_time_step(st, 1e-3, params)
     nxt, pots, _ = out
     assert np.max(np.abs(nxt.phi.data - 0.2)) < 1e-12
     assert np.max(np.abs(nxt.psi.data - 0.5)) < 1e-12
@@ -154,7 +153,7 @@ def test_reaction_moves_mean_exactly(grid):
     h = 1e-3
     state = st
     for k in range(1, 6):
-        state, _, report = coupled_time_step(state, h, params, SolverTolerances())
+        state, _, report = coupled_time_step(state, h, params)
         assert gridops.mean(state.phi) == pytest.approx(
             (1 - h * 0.5) ** k * 0.3, abs=1e-14)
         assert gridops.mean(state.psi) == pytest.approx(0.5, abs=1e-14)
@@ -169,7 +168,7 @@ def test_constant_fields_with_solenoidal_velocity(grid):
     st = State(VectorField(grid, ux, uy), ScalarField.constant(grid, 0.1),
                ScalarField.constant(grid, 0.5))
     ke0 = mdl.kinetic_energy(st.u, params)
-    out = coupled_time_step(st, 1e-2, params, SolverTolerances())
+    out = coupled_time_step(st, 1e-2, params)
     nxt = out[0]
     assert np.max(np.abs(nxt.phi.data - 0.1)) < 1e-10
     assert np.max(np.abs(nxt.psi.data - 0.5)) < 1e-10
@@ -185,16 +184,15 @@ def test_constant_fields_with_solenoidal_velocity(grid):
 def test_short_stripe_run_energy_and_bounds(grid):
     params = ModelParams(w=1.0, theta_c=2.0, alpha=1.0, r=3.0, sigma2=0.1)
     state = _stripe_state(grid, amplitude=0.8, width=0.08)
-    tol = SolverTolerances()
     e0 = mdl.total_energy(state, params)
     e_prev = e0
     pots = None
     for _ in range(20):
         prev = state
-        state, pots, report = coupled_time_step(prev, 1e-3, params, tol, pots)
+        state, pots, report = coupled_time_step(prev, 1e-3, params, pots)
         row = diagnostics.build_ledger_row(prev, state, pots, report.h_used, params,
                                            e_prev)
-        assert row.slack >= -tol.energy_tol * (1 + abs(e0))
+        assert row.slack >= -driver.ENERGY_TOL * (1 + abs(e0))
         assert row.energy_total <= e_prev + 1e-12 * (1 + abs(e0))
         assert -1.0 < row.min_phi and row.max_phi < 1.0
         assert 0.0 < row.min_psi and row.max_psi < 1.0
@@ -205,25 +203,23 @@ def test_short_stripe_run_energy_and_bounds(grid):
 def test_recovered_potentials_satisfy_pointwise_law(grid):
     params = ModelParams(w=1.0, theta_c=1.5, sigma2=0.2)
     state = _stripe_state(grid, amplitude=0.7, width=0.1)
-    tol = SolverTolerances()
-    nxt, pots, _ = coupled_time_step(state, 1e-3, params, tol)
+    nxt, pots, _ = coupled_time_step(state, 1e-3, params)
     phi = nxt.phi.data
     gsec = np.asarray(mdl.secant_g_phi(phi, state.phi.data, nxt.psi.data,
                                        params.theta_c, params.w))
     lhs = pots.mu_phi.data - gsec - params.sigma2 * inv_neg_lap(grid, _p0(phi))
     rhs = neg_lap(grid, phi) + mdl.f_phi(phi, params.theta_phi)[1]
-    assert np.max(np.abs(lhs - rhs)) < 10 * tol.newton_tol * (1 + np.max(np.abs(rhs)))
+    assert np.max(np.abs(lhs - rhs)) < 10 * step.NEWTON_TOL * (1 + np.max(np.abs(rhs)))
 
 
-def test_newton_cap_admits_the_final_update(grid):
+def test_newton_cap_admits_the_final_update(grid, monkeypatch):
     # The reported count includes the converged residual check, so a cap of
     # one less still allows every update the solve needs.
     params = ModelParams(alpha=1.0, w=1.0, theta_c=2.0, sigma2=0.1)
     state = _stripe_state(grid)
-    tol = SolverTolerances()
-    nxt, _, report = coupled_time_step(state, 1e-3, params, tol)
-    capped = replace(tol, max_newton=report.newton_iterations_phi - 1)
-    nxt2, _, report2 = coupled_time_step(state, 1e-3, params, capped)
+    nxt, _, report = coupled_time_step(state, 1e-3, params)
+    monkeypatch.setattr(step, "MAX_NEWTON", report.newton_iterations_phi - 1)
+    nxt2, _, report2 = coupled_time_step(state, 1e-3, params)
     assert np.array_equal(nxt2.phi.data, nxt.phi.data)
     assert np.array_equal(nxt2.psi.data, nxt.psi.data)
     assert report2.newton_iterations_phi == report.newton_iterations_phi
@@ -250,7 +246,6 @@ def test_picard_iterations_start_from_the_previous_iterate(monkeypatch):
     grid = Grid2D(32, 32, 16.0, 16.0)
     state = _band_state(grid)
     params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
-    tol = SolverTolerances()
     h = 0.1
     keys = ("velocity", "psi Newton", "phi Newton")
     starts = {key: [] for key in keys}
@@ -274,7 +269,7 @@ def test_picard_iterations_start_from_the_previous_iterate(monkeypatch):
 
     monkeypatch.setattr(step, "bounded_newton", spied_newton)
     monkeypatch.setattr(step, "velocity_solve", spied_velocity)
-    nxt, _, report = coupled_time_step(state, h, params, tol)
+    nxt, _, report = coupled_time_step(state, h, params)
     monkeypatch.undo()
 
     n = report.picard_iterations
@@ -291,7 +286,7 @@ def test_picard_iterations_start_from_the_previous_iterate(monkeypatch):
 
     # The warm-started step agrees with a cold solve on its own velocity.
     targets = mean_targets(state.phi, state.psi, h, params)
-    phi, psi, _, _, _, _ = ch_subsystem_solve(state, nxt.u, targets, h, params, tol)
+    phi, psi, _, _, _, _ = ch_subsystem_solve(state, nxt.u, targets, h, params)
     assert np.max(np.abs(phi.data - nxt.phi.data)) <= 1e-10
     assert np.max(np.abs(psi.data - nxt.psi.data)) <= 1e-10
 
@@ -323,7 +318,7 @@ def _band_step(monkeypatch, kappa):
                     m.setattr(module, name, counted(original))
         m.setattr(step, "PICARD_FORCING", kappa)
         prev = _band_state(Grid2D(32, 32, 16.0, 16.0))
-        out = coupled_time_step(prev, 0.1, BENCH_MODEL, SolverTolerances())
+        out = coupled_time_step(prev, 0.1, BENCH_MODEL)
         row = _ledger_row(prev, out, BENCH_MODEL)
     return (out[0], out[1], row), calls[0]
 
@@ -345,7 +340,6 @@ def test_inexact_picard_accepts_the_exact_iterate(monkeypatch):
     # PICARD_FORCING times the last Picard change.  The step still accepts
     # the iterate of the exact loop (kappa = 0), each of whose three solves
     # met its full tolerance, and does at most 0.8 of the exact loop's work.
-    tol = SolverTolerances()
     last = {}
     velocity, newton = step.velocity_solve, step.bounded_newton
 
@@ -372,7 +366,7 @@ def test_inexact_picard_accepts_the_exact_iterate(monkeypatch):
     res = gridops.project_velocity(VectorField(u.grid, drag * u.x - force.x,
                                                drag * u.y - force.y))
     scale = 1.0 + np.max(np.hypot(force.x, force.y))
-    assert np.max(np.hypot(res.x, res.y)) <= tol.velocity_tol * scale
+    assert np.max(np.hypot(res.x, res.y)) <= step.VELOCITY_TOL * scale
 
     exact, exact_work = _band_step(monkeypatch, 0.0)
     _assert_same_step(inexact, exact)
@@ -407,13 +401,12 @@ def test_flux_and_pointwise_laws_hold_with_transport():
     grid = Grid2D(32, 32, 16.0, 16.0)
     state = _band_state(grid)
     params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
-    tol = SolverTolerances()
     h = 0.1
-    nxt, pots, _ = coupled_time_step(state, h, params, tol)
+    nxt, pots, _ = coupled_time_step(state, h, params)
     assert np.sqrt(np.mean(nxt.u.x ** 2 + nxt.u.y ** 2)) > 1e-3
 
     def close(lhs, rhs):
-        return np.max(np.abs(lhs - rhs)) < 10 * tol.newton_tol * (1 + np.max(np.abs(rhs)))
+        return np.max(np.abs(lhs - rhs)) < 10 * step.NEWTON_TOL * (1 + np.max(np.abs(rhs)))
 
     for new, prev, mu_hat, mobility in (
             (nxt.phi, state.phi, pots.mu_phi_hat, params.m_phi_const),
@@ -451,8 +444,7 @@ def test_constitutive_kernels_run_once_per_residual_evaluation(grid, monkeypatch
     params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
     state = _band_state(grid)
     targets = mean_targets(state.phi, state.psi, 0.1, params)
-    _, _, _, it_phi, it_psi, _ = ch_subsystem_solve(state, state.u, targets, 0.1, params,
-                                                    SolverTolerances())
+    _, _, _, it_phi, it_psi, _ = ch_subsystem_solve(state, state.u, targets, 0.1, params)
     assert it_phi > 1 and it_psi > 1
     assert calls == {"f_phi": it_phi, "f_psi": it_psi, "secant_g_phi_dfirst": it_phi - 1}
 
@@ -482,7 +474,7 @@ def test_inner_solve_failure_names_its_solve(grid, monkeypatch):
     monkeypatch.setattr(step, "pcg", failing_pcg)
     params = ModelParams(w=1.0, theta_c=1.5)
     with pytest.raises(NewtonDivergence) as err:
-        coupled_time_step(_stripe_state(grid), 1e-3, params, SolverTolerances())
+        coupled_time_step(_stripe_state(grid), 1e-3, params)
     message = str(err.value)
     assert "psi Newton" in message or "phi Newton" in message
     assert "update 1" in message and "CG info 1" in message
@@ -517,7 +509,7 @@ def test_one_krylov_iteration_costs_two_transforms(grid, monkeypatch):
 
     monkeypatch.setattr(step, "pcg", spied_pcg)
     params = ModelParams(w=1.0, theta_c=1.5, sigma2=0.1)
-    coupled_time_step(_stripe_state(grid), 1e-3, params, SolverTolerances())
+    coupled_time_step(_stripe_state(grid), 1e-3, params)
     n_step = len(costs["matvec"])
     X, Y = grid.cell_centers()
     pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
@@ -549,7 +541,7 @@ def test_inner_solves_follow_the_forcing_rule(grid, monkeypatch):
     monkeypatch.setattr(diagnostics, "bounded_newton", marked)
     monkeypatch.setattr(step, "pcg", spied)
     params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
-    coupled_time_step(_band_state(grid), 0.1, params, SolverTolerances())
+    coupled_time_step(_band_state(grid), 0.1, params)
     X, Y = grid.cell_centers()
     pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
     diagnostics.stationary_solve(0.1, 0.5, (ScalarField(grid, 0.1 + pert),
@@ -654,7 +646,7 @@ def test_inexact_newton_reaches_the_same_root(monkeypatch):
 def test_step_report_fields_consistent(grid):
     params = ModelParams(w=1.0, theta_c=1.0)
     state = _stripe_state(grid, amplitude=0.5)
-    out = coupled_time_step(state, 1e-3, params, SolverTolerances())
+    out = coupled_time_step(state, 1e-3, params)
     nxt, _, report = out
     row = _ledger_row(state, out, params)
     assert report.h_used == 1e-3
