@@ -13,7 +13,6 @@ from .errors import (NonConvergence, BoundViolation, MeanNotZero,
                      OutOfDomain, ParseError, SnapshotFormatError,
                      StepTooLarge, UnknownPreset, ValidationError)
 
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4

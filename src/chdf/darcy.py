@@ -15,22 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridops
-from .errors import NonConvergence
+from .errors import NewtonDivergence, NonConvergence
 from .grid import ScalarField, VectorField, pcg
 from .model import ModelParams
 
 _MAX_ROOT_ITER = 200
 _MAX_NEWTON = 50
-# Matvec cap of each linear solve, the budget of the lgmres that CG replaced
-# (50 restart cycles of 30).
-_MAX_CG = 1500
+# Relative momentum residual at which velocity_solve stops.
+VELOCITY_TOL = 1e-11
 
 
 @dataclass(frozen=True)
 class VelocitySolveReport:
     outer_iterations: int
     final_momentum_residual: float
-    # Whether the final momentum residual met tol, not only loose_tol.
+    # Whether the final momentum residual met VELOCITY_TOL, not only loose_tol.
     met_tol: bool
 
 
@@ -76,7 +75,6 @@ def velocity_solve(
     force: VectorField,
     h: float,
     params: ModelParams,
-    tol: float = 1e-10,
     *,
     start: VectorField | None = None,
     loose_tol: float = 0.0,
@@ -91,12 +89,13 @@ def velocity_solve(
     to relative residual 1e-3 on the exact drag Jacobian
     (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, symmetric positive
     definite on solenoidal fields, with the scalar preconditioner
-    1/(c1 + mean k), and the iteration stops once max|R| <= tol (1 + max|f|)
-    for the projected residual R or, after at least one update, once
-    max|R| <= loose_tol (1 + max|f|); report.met_tol says whether the first
-    held.  pi is minus the potential part of that residual, formed once at
-    the end, so u has zero normal trace and round-off divergence, and pi
-    has zero mean.
+    1/(c1 + mean k), and the iteration stops once
+    max|R| <= VELOCITY_TOL (1 + max|f|) for the projected residual R or,
+    after at least one update, once max|R| <= loose_tol (1 + max|f|);
+    report.met_tol says whether the first held; a CG that reaches its cap
+    raises NewtonDivergence naming the update.  pi is minus the potential
+    part of that residual, formed once at the end, so u has zero normal
+    trace and round-off divergence, and pi has zero mean.
     """
     grid = u_prev.grid
     if h <= 0:
@@ -124,7 +123,7 @@ def velocity_solve(
         R, p_hat = gridops.solenoidal_part(
             VectorField(grid, (c1 + k) * u.x - fx, (c1 + k) * u.y - fy))
         res = float(np.max(np.hypot(R.x, R.y)))
-        met_tol = res <= tol * scale
+        met_tol = res <= VELOCITY_TOL * scale
         if met_tol or (it > 1 and res <= loose_tol * scale):
             break
         if it > _MAX_NEWTON:
@@ -143,8 +142,11 @@ def velocity_solve(
 
         # Scalar preconditioner: the mean isotropic drag coefficient.
         cbar = c1 + float(np.mean(k))
-        (dx, dy), _ = pcg(matvec, lambda v: v / cbar, -np.stack((R.x, R.y)),
-                          1e-3, _MAX_CG)
+        try:
+            dx, dy = pcg(matvec, lambda v: v / cbar, -np.stack((R.x, R.y)), 1e-3)
+        except NewtonDivergence as exc:
+            raise NewtonDivergence(f"velocity solve update {it}: {exc}; momentum "
+                                   f"residual {res:.3e}") from exc
         u = VectorField(grid, u.x + dx, u.y + dy)
 
     pi = -gridops.cc_inv(p_hat)

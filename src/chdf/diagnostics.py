@@ -146,13 +146,16 @@ def mass_closed_form(t: float, params: ModelParams, phi_bar_0: float) -> float:
     return params.c + (phi_bar_0 - params.c) * math.exp(-params.sigma1 * t)
 
 
+# Stopping rule of stationary_solve: max|F| and the cap on Newton updates.
+STATIONARY_TOL = 1e-10
+STATIONARY_MAX_NEWTON = 60
+
+
 def stationary_solve(
     phi_mass: float,
     psi_mass: float,
     seed: tuple[ScalarField, ScalarField],
     params: ModelParams,
-    tol: float = 1e-10,
-    max_newton: int = 60,
 ) -> EquilibriumSolution:
     """Solve the stationary elliptic system at prescribed means.
 
@@ -160,7 +163,8 @@ def stationary_solve(
     L x + p(x) = mu_inf with L the energy operator (`model.quadratic_symbol`)
     and p = (F_phi' + dG/dphi, F_psi' + dG/dpsi) pointwise:
     `bounded_newton` with k_hat = 0, and one kernel that gives p and its
-    Jacobian, its Krylov solve run to the Eisenstat-Walker tolerance there.
+    Jacobian, run to STATIONARY_TOL in at most STATIONARY_MAX_NEWTON updates,
+    its Krylov solve run to the Eisenstat-Walker tolerance there.
     The constant chemical potentials mu_inf are the Lagrange multipliers of
     the mean constraints: the means of p at the solution, which the solve
     returns.
@@ -180,11 +184,10 @@ def stationary_solve(
         g_pp = -params.theta_c + 2.0 * params.w * psi
         g_pq = 2.0 * params.w * phi
         p = np.stack([fp + gphi, fq + gpsi])
-        # Built with p and after it, not on demand: on steady-128 either a
-        # build deferred past the residual's transforms or one before p
-        # slowed the solve's Krylov iterations by 10-20 %.
+        # Built after p: on steady-128 a build before p slowed the solve's
+        # Krylov iterations by 10-20 %.
         C = np.array([[fpp + g_pp, g_pq], [g_pq, fqq]])
-        return p, lambda: C
+        return p, C
 
     x0 = np.stack([phi_seed.data + (phi_mass - phi_seed.data.mean()),
                    psi_seed.data + (psi_mass - psi_seed.data.mean())])
@@ -193,7 +196,8 @@ def stationary_solve(
     (phi, psi), _, (mu_phi_inf, mu_psi_inf), _ = bounded_newton(
         x0, pointwise, mdl.quadratic_symbol(grid, params), 0.0,
         [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass],
-        tol, max_newton, krylov=_krylov_solve, label="stationary solve")
+        STATIONARY_TOL, STATIONARY_MAX_NEWTON, krylov=_krylov_solve,
+        label="stationary solve")
     return EquilibriumSolution(
         phi_inf=ScalarField(grid, phi),
         psi_inf=ScalarField(grid, psi),

@@ -116,10 +116,7 @@ def load_config(path: str) -> RunConfig:
 
     flat = {name: val for section, given in values.items()
             if section not in owners for name, val in given.items()}
-    try:
-        cfg = RunConfig(params=ModelParams(**values["model"]), **flat)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    cfg = RunConfig(params=ModelParams(**values["model"]), **flat)
     # Grid2D validates nx/ny/Lx/Ly on construction; surface that now.
     try:
         Grid2D(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
@@ -129,6 +126,8 @@ def load_config(path: str) -> RunConfig:
         raise ValidationError("h must be > 0")
     if cfg.t_end <= 0:
         raise ValidationError("t_end must be > 0")
+    if not math.isfinite(cfg.t_end / cfg.h):
+        raise ValidationError(f"t_end = {cfg.t_end:g} and h = {cfg.h:g}: t_end/h overflows")
     if _step_count(cfg) < 1:
         raise ValidationError(f"t_end = {cfg.t_end:g} rounds to 0 steps of "
                               f"h = {cfg.h:g}: round(t_end/h) must be >= 1")
@@ -282,11 +281,16 @@ def initial_condition(cfg: RunConfig, grid: Grid2D) -> State:
     elif cfg.preset == "snapshot":
         phi_field, time, phi_name = read_snapshot(cfg.phi_path)
         psi_field, _, psi_name = read_snapshot(cfg.psi_path)
-        for path, name, role in ((cfg.phi_path, phi_name, "phi"),
-                                 (cfg.psi_path, psi_name, "psi")):
+        for path, f, name, role, lo, hi in (
+                (cfg.phi_path, phi_field, phi_name, "phi", -1.0, 1.0),
+                (cfg.psi_path, psi_field, psi_name, "psi", 0.0, 1.0)):
             if name != role:
                 raise SnapshotFormatError(
                     f"{path}: header names field {name!r}, but it is read as {role!r}")
+            # Written so that a NaN fails it.
+            if not (np.min(f.data) > lo and np.max(f.data) < hi):
+                raise SnapshotFormatError(
+                    f"{path}: field {role} leaves ({lo:g}, {hi:g})")
         if phi_field.grid != grid or psi_field.grid != grid:
             raise SnapshotFormatError("snapshot grid does not match the configured grid")
         phi, psi = phi_field.data, psi_field.data
@@ -345,7 +349,8 @@ def run(cfg: RunConfig) -> int:
     Aborts with a solver-failure status on any invariant violation (slack
     below tolerance, bounds, mass targets); the offending row is still
     written as the final diagnostic record.  An error raised by a step is
-    raised again with the same type, its message prefixed by the step.
+    raised again with the same type, its message prefixed, as a violation's
+    is, by "step k", k the number of steps taken, which tags snapshots.
     """
     grid = Grid2D(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
     state = initial_condition(cfg, grid)
@@ -388,11 +393,10 @@ def run(cfg: RunConfig) -> int:
             if abs(row.mean_phi - report.mass_target_a) > 1e-10:
                 violations.append("phi mass missed its prescribed target")
             if violations:
-                raise BoundViolation(
-                    f"step {state.step_index}: " + "; ".join(violations))
+                raise BoundViolation(f"step {k}: " + "; ".join(violations))
             k += 1
             if k % cfg.output_every == 0 or left == 0.0:
-                tag = f"{state.step_index:08d}"
+                tag = f"{k:08d}"
                 prefix = os.path.join(cfg.output_dir, cfg.snapshot_prefix)
                 write_snapshot(f"{prefix}_phi_{tag}.snap", state.phi, state.time, "phi")
                 write_snapshot(f"{prefix}_psi_{tag}.snap", state.psi, state.time, "psi")
@@ -453,13 +457,13 @@ def _check_secants() -> tuple[bool, str]:
     return err <= 1e-13, f"secant identity residual {err:.3e}"
 
 
-def _check_one_step(grid: Grid2D, params: ModelParams) -> tuple[bool, str]:
+def _check_one_step(grid: Grid2D, params: ModelParams, h: float) -> tuple[bool, str]:
     X, _ = grid.cell_centers()
     phi = 0.5 * np.tanh((X - 0.5 * grid.Lx) / (0.1 * grid.Lx))
     state = State(VectorField.zero(grid), ScalarField(grid, phi),
                   ScalarField.constant(grid, 0.5))
     e0 = mdl.total_energy(state, params)
-    nxt, potentials, report = coupled_time_step(state, 1e-3, params)
+    nxt, potentials, report = coupled_time_step(state, h, params)
     row = diag.build_ledger_row(state, nxt, potentials, report.h_used, params, e0)
     ok = (row.slack >= -ENERGY_TOL * (1.0 + abs(e0))
           and abs(row.mean_psi - 0.5) <= 1e-12
@@ -475,7 +479,7 @@ def check(cfg: RunConfig) -> int:
         ("spectral operators", _check_operators(grid)),
         ("drag scalar roots", _check_roots()),
         ("coupling secants", _check_secants()),
-        ("one-step energy/mass", _check_one_step(grid, cfg.params)),
+        ("one-step energy/mass", _check_one_step(grid, cfg.params, cfg.h)),
     ]
     all_ok = True
     for name, (ok, detail) in checks:

@@ -283,26 +283,30 @@ def project_velocity(v: VectorField) -> VectorField:
 # Linear solver
 # ---------------------------------------------------------------------------
 
-def pcg(matvec, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
+# Matvec cap of every CG solve; on the benchmark inputs none takes over 51.
+CG_MAXITER = 6000
+
+
+def pcg(matvec, precond, b: np.ndarray, rtol: float) -> np.ndarray:
     """Preconditioned conjugate gradients for A x = b on arrays of b's shape.
 
     A (matvec) is symmetric and precond symmetric positive definite on the
     space the iterates span; np.vdot gives the inner products.  From x = 0 it
-    stops once the recursively updated residual has |r| <= rtol |b| and
-    returns (x, 0), or (x, maxiter) when capped; a zero b gives zeros.  A may
-    be indefinite (a constrained saddle point is), so a direction with
-    p.Ap < 0 is taken like any other (Hestenes & Stiefel, J. Res. NBS 49
-    (1952) 409); only an exact breakdown, p.Ap == 0 or not finite, raises.
+    returns x once the recursively updated residual has |r| <= rtol |b|; a
+    zero b gives zeros.  A may be indefinite (a constrained saddle point
+    is), so a direction with p.Ap < 0 is taken like any other (Hestenes &
+    Stiefel, J. Res. NBS 49 (1952) 409); an exact breakdown, p.Ap == 0 or
+    not finite, and reaching CG_MAXITER matvecs raise NewtonDivergence.
     """
     x = np.zeros_like(b)
     if not b.any():
-        return x, 0
+        return x
     stop = (rtol * np.linalg.norm(b)) ** 2
     r = b
     z = precond(r)
     p = z
     rz = np.vdot(r, z)
-    for it in range(1, maxiter + 1):
+    for it in range(1, CG_MAXITER + 1):
         q = matvec(p)
         pq = np.vdot(p, q)
         if pq == 0.0 or not np.isfinite(pq):
@@ -311,8 +315,8 @@ def pcg(matvec, precond, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.n
         x += a * p
         r = r - a * q          # not in place: precond may return r itself
         if np.vdot(r, r) <= stop:
-            return x, 0
+            return x
         z = precond(r)
         rz, rz_prev = np.vdot(r, z), rz
         p = z + (rz / rz_prev) * p
-    return x, maxiter
+    raise NewtonDivergence(f"CG reached its cap of {CG_MAXITER} iterations")

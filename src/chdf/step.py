@@ -10,12 +10,13 @@ term whose mean, the Lagrange multiplier of the mean constraint, is the
 constant part of the chemical potential.  The operator is the energy
 operator L of `model.quadratic_symbol`, plus inv_lam/(m h) for a pair of
 mobility m.  `bounded_newton` forms that residual from one pointwise kernel
-call per evaluation, solves it by projected Newton with a
-conjugate-gradient solve of the symmetric Jacobian on the orthonormal
-cosine coefficients of the correction (diagonal preconditioner,
-Eisenstat-Walker relative tolerance) down to the tolerance or the
-round-off floor of the operator, whichever is larger, and returns the mean
-with the solution.
+call per evaluation, which returns the pointwise term and its Jacobian as
+arrays, solves it by projected Newton with a conjugate-gradient solve
+(`grid.pcg`, which raises at its one cap) of the symmetric Jacobian on the
+orthonormal cosine coefficients of the correction (diagonal
+preconditioner, Eisenstat-Walker relative tolerance) down to the
+tolerance or the round-off floor of the operator, whichever is larger,
+and returns the mean with the solution.
 A Picard loop closes the velocity coupling: the velocity comes from
 `darcy.velocity_solve`, solenoidal as returned.  From the second Picard
 iteration on, the velocity, psi and phi solves start from the previous
@@ -27,8 +28,8 @@ mu_psi_hat and, once there are two iterates, of phi and psi), though only
 after at least one update when its start misses the full tolerance.  An
 iterate is accepted once Delta_k <= PICARD_TOL and each of the three
 solves of that iteration met its full tolerance (NEWTON_TOL with its
-round-off floor, VELOCITY_TOL): Delta leaves out u, so without the second
-condition a loose velocity solve could end the loop unsolved.
+round-off floor, `darcy.VELOCITY_TOL`): Delta leaves out u, so without the
+second condition a loose velocity solve could end the loop unsolved.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class State:
     phi: ScalarField
     psi: ScalarField
     time: float = 0.0
-    step_index: int = 0
 
     def validate(self) -> None:
         # Written so that a NaN fails them.
@@ -64,10 +64,6 @@ class State:
             raise BoundViolation("phi leaves (-1, 1)")
         if not (np.min(self.psi.data) > 0.0 and np.max(self.psi.data) < 1.0):
             raise BoundViolation("psi leaves (0, 1)")
-
-    def copy(self) -> "State":
-        return State(self.u.copy(), self.phi.copy(), self.psi.copy(),
-                     self.time, self.step_index)
 
 
 @dataclass
@@ -151,10 +147,9 @@ def _damped_update(cur: np.ndarray, delta: np.ndarray, lo: float, hi: float) -> 
 
 
 # Stopping rules of each step: max|F| of the psi and phi Newton solves,
-# the momentum residual of the velocity solve, the Picard change that ends
-# the loop, and the caps on Newton updates and Picard iterations.
+# the Picard change that ends the loop, and the caps on Newton updates and
+# Picard iterations (the velocity solve's is `darcy.VELOCITY_TOL`).
 NEWTON_TOL = 1e-11
-VELOCITY_TOL = 1e-11
 PICARD_TOL = 1e-11
 MAX_NEWTON = 50
 MAX_PICARD = 100
@@ -180,16 +175,10 @@ PICARD_FORCING = 0.01
 ROUNDOFF_FACTOR = 4.0
 
 
-# Matvec cap of each inner solve, the budget of the lgmres that CG replaced
-# (200 restart cycles of 30), so that no solve is cut shorter than it was.
-KRYLOV_MAXITER = 6000
-
-
 def _krylov_solve(matvec, precond, rhs: np.ndarray, rtol: float) -> np.ndarray:
-    sol, info = pcg(matvec, precond, rhs, rtol, KRYLOV_MAXITER)
-    if info != 0:
-        raise NewtonDivergence(f"inner linear solve failed to converge (CG info {info})")
-    return sol
+    # A function, not an alias bound as bounded_newton's default, so that
+    # pcg is looked up in this module when it runs, where it may be wrapped.
+    return pcg(matvec, precond, rhs, rtol)
 
 
 def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
@@ -203,12 +192,10 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
 
     symbol[i] being diagonal in the cosine basis (zero on the constant
     mode), k_hat cosine coefficients fixed for the solve (0.0 for none) and
-    (p, jacobian) = pointwise(x) the one constitutive kernel, called once
-    per residual evaluation: the (k, ny, nx) pointwise term and a callable
-    returning its (k, k, ny, nx) Jacobian C, called only before a linear
-    solve, so that a kernel may leave C unbuilt at the evaluation that ends
-    the solve.  The mean of p that P0 removes is the Lagrange multiplier of
-    the mean constraint: the constant part of the potential.
+    (p, C) = pointwise(x) the one constitutive kernel, called once per
+    residual evaluation: the (k, ny, nx) pointwise term and its
+    (k, k, ny, nx) Jacobian.  The mean of p that P0 removes is the Lagrange
+    multiplier of the mean constraint: the constant part of the potential.
     The Jacobian acting on a zero-mean perturbation v is
 
         (J v)_i = symbol[i] v_i  +  P0( sum_j C_ij v_j ).
@@ -219,13 +206,13 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
     is the diagonal 1/(symbol[i] + mean(C_ii)), zero on the constant mode.
     The transform pair is an isometry, so the Krylov norms are those of the
     field.  The solver is preconditioned CG (`grid.pcg`) on the (k, ny, nx)
-    coefficient array, capped at KRYLOV_MAXITER matvecs.  J need not be
-    definite: near a constrained saddle point, as the stationary solve meets
-    on lamellae, CG takes directions with p.Jp < 0 as they come and raises
-    NewtonDivergence only on exact breakdown; the stopping rule on max|F|
-    still guards the answer.  The linear solve of update k stops at the
-    relative residual eta_k (Eisenstat-Walker forcing, no absolute
-    tolerance): eta_0 = ETA_MAX and
+    coefficient array.  J need not be definite: near a constrained saddle
+    point, as the stationary solve meets on lamellae, CG takes directions
+    with p.Jp < 0 as they come and raises NewtonDivergence only on exact
+    breakdown or at its cap; the stopping rule on max|F| still guards the
+    answer.  The linear solve of update k stops at the relative residual
+    eta_k (Eisenstat-Walker forcing, no absolute tolerance): eta_0 = ETA_MAX
+    and
     eta_k = min(ETA_MAX, max(EW_GAMMA (|F_k| / |F_k-1|)^2, 0.5 tol / |F_k|))
     with |F| the 2-norm of the residual field (that of the Krylov rhs): the
     solve is loose while Newton converges slowly and tight once it converges
@@ -248,7 +235,7 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
     x = np.array(x, dtype=float)
     floor = ROUNDOFF_FACTOR * np.finfo(float).eps * float(np.max(symbol))
     for it in range(1, max_newton + 2):
-        p, jacobian = pointwise(x)
+        p, C = pointwise(x)
         pbar = p.mean(axis=(-2, -1), keepdims=True)
         R = cc_inv(symbol * cc_fwd(x) + k_hat) + (p - pbar)
         res = float(np.max(np.abs(R)))
@@ -262,7 +249,6 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
         eta = ETA_MAX if it == 1 else min(
             ETA_MAX, max(EW_GAMMA * (fnorm / fnorm_prev) ** 2, 0.5 * tol / fnorm))
         fnorm_prev = fnorm
-        C = jacobian()
         cbar = [max(float(C[i, i].mean()), 1e-12) for i in range(len(x))]
         prec = 1.0 / (symbol + np.array(cbar)[:, None, None])
         prec[:, 0, 0] = 0.0
@@ -334,13 +320,13 @@ def ch_subsystem_solve(
 
     def psi_kernel(x):
         _, d1, d2 = mdl.f_psi(x, params.theta_psi)
-        return d1 + g_psi, lambda: d2[None]
+        return d1 + g_psi, d2[None]
 
     def phi_kernel(x):
         _, d1, d2 = mdl.f_phi(x, params.theta_phi)
         # psi is the new psi: the psi pair is solved before this runs.
         return (d1 + mdl.secant_g_phi(x, phi_prev, psi, th, w),
-                lambda: (d2 + mdl.secant_g_phi_dfirst(x, phi_prev, psi, th, w))[None])
+                (d2 + mdl.secant_g_phi_dfirst(x, phi_prev, psi, th, w))[None])
 
     def solve_pair(i, x_prev, source, m, pointwise, box, target, x0, label):
         k_hat = grid.inv_lam * cc_fwd(source - x_prev / h) / m
@@ -398,8 +384,8 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
             -(prev.phi.data * gmp.x + prev.psi.data * gms.x),
             -(prev.phi.data * gmp.y + prev.psi.data * gms.y),
         )
-        u, _, vel = velocity_solve(prev.u, force, h, params, tol=VELOCITY_TOL,
-                                   start=u, loose_tol=loose_tol)
+        u, _, vel = velocity_solve(prev.u, force, h, params, start=u,
+                                   loose_tol=loose_tol)
         velocity_its = max(velocity_its, vel.outer_iterations)
 
         phi_new, psi_new, potentials, it_phi, it_psi, met_tol = ch_subsystem_solve(
@@ -426,7 +412,7 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
     else:
         raise PicardStall("velocity/phase coupling did not converge")
 
-    return (State(u, phi, psi, prev.time + h, prev.step_index + 1), potentials,
+    return (State(u, phi, psi, prev.time + h), potentials,
             StepReport(picard_it, newton_phi, newton_psi, velocity_its, targets[0], h))
 
 

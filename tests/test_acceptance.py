@@ -245,7 +245,7 @@ def test_convergence_to_equilibrium(spinodal_run):
 
     sol = diag.stationary_solve(gridops.mean(state.phi),
                                 gridops.mean(state.psi),
-                                (state.phi, state.psi), params, tol=1e-10)
+                                (state.phi, state.psi), params)
     dev = max(float(np.max(np.abs(sol.phi_inf.data - state.phi.data))),
               float(np.max(np.abs(sol.psi_inf.data - state.psi.data))))
     assert dev <= 1e-6

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chdf import grid as gridops
 from chdf.darcy import (dissipation_integrands, forchheimer_scalar_root,
                         velocity_solve)
+from chdf.errors import NewtonDivergence
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
 
@@ -149,3 +150,19 @@ def test_velocity_solve_rejects_bad_step(grid):
     with pytest.raises(ValueError):
         velocity_solve(VectorField.zero(grid), VectorField.zero(grid), 0.0,
                        ModelParams())
+
+
+def test_velocity_cg_at_its_cap_raises(grid, monkeypatch):
+    # A linear solve cut at the cap is not used as an update: the velocity
+    # solve raises, naming itself and the update.
+    rng = np.random.default_rng(2)
+    from chdf.grid import cs_inv, sc_inv
+    n = 32 * 32
+    force = VectorField(grid, sc_inv(n * rng.standard_normal((32, 32))),
+                        cs_inv(n * rng.standard_normal((32, 32))))
+    params = ModelParams(alpha=0.0, r=6.0)
+    velocity_solve(VectorField.zero(grid), force, 0.1, params)
+    monkeypatch.setattr(gridops, "CG_MAXITER", 1)
+    with pytest.raises(NewtonDivergence, match=r"^velocity solve update \d+: CG reached "
+                       r"its cap of 1 iterations; momentum residual \d"):
+        velocity_solve(VectorField.zero(grid), force, 0.1, params)

@@ -114,7 +114,7 @@ def test_mass_closed_form_cases():
 def test_stationary_homogeneous_oracle(grid):
     params = ModelParams(w=1.0, theta_c=1.0, sigma2=0.1)
     seed = (ScalarField.constant(grid, 0.1), ScalarField.constant(grid, 0.5))
-    sol = diag.stationary_solve(0.1, 0.5, seed, params, tol=1e-10)
+    sol = diag.stationary_solve(0.1, 0.5, seed, params)
     mu_phi = mdl.f_phi(0.1)[1] + mdl.coupling_g(0.1, 0.5, 1.0, 1.0)[1]
     mu_psi = mdl.f_psi(0.5)[1] + mdl.coupling_g(0.1, 0.5, 1.0, 1.0)[2]
     assert np.max(np.abs(sol.phi_inf.data - 0.1)) < 1e-10
@@ -128,8 +128,9 @@ def test_stationary_mu_fields_constant(grid):
     X, Y = grid.cell_centers()
     pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
     seed = (ScalarField(grid, 0.1 + pert), ScalarField(grid, 0.5 - pert))
-    tol = 1e-10
-    sol = diag.stationary_solve(0.1, 0.5, seed, params, tol=tol)
+    tol = diag.STATIONARY_TOL
+    assert tol == 1e-10
+    sol = diag.stationary_solve(0.1, 0.5, seed, params)
     from chdf.grid import inv_neg_lap, neg_lap
     from chdf.step import _p0
     phi = sol.phi_inf.data
@@ -143,7 +144,7 @@ def test_stationary_mu_fields_constant(grid):
 def test_stationary_residual_with_zero_velocity(grid):
     params = ModelParams(w=1.0, theta_c=1.0)
     seed = (ScalarField.constant(grid, 0.1), ScalarField.constant(grid, 0.5))
-    sol = diag.stationary_solve(0.1, 0.5, seed, params, tol=1e-10)
+    sol = diag.stationary_solve(0.1, 0.5, seed, params)
     state = State(VectorField.zero(grid), sol.phi_inf, sol.psi_inf)
     pots = _zero_potentials(grid)
     pots.mu_phi = ScalarField.constant(grid, sol.mu_phi_inf)

@@ -2,6 +2,7 @@
 
 import inspect
 import os
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -125,6 +126,20 @@ def test_t_end_below_one_step_rejected(tmp_path):
         assert not out.exists()
     path = _write(tmp_path / "one.cfg", MINIMAL.replace("t_end = 0.01", "t_end = 6e-4"))
     assert driver.load_config(path).t_end == 6e-4
+
+
+@pytest.mark.parametrize("command", ["run", "check", "steady"])
+@pytest.mark.parametrize("h, t_end", [("1e-320", "0.1"), ("1e-3", "1e308")])
+def test_step_count_that_overflows_is_rejected(tmp_path, capsys, command, h, t_end):
+    # t_end/h is inf: every subcommand rejects the config before it counts
+    # steps, naming both keys.
+    path = _write(tmp_path / "big.cfg", MINIMAL.replace("h = 1e-3", f"h = {h}")
+                  .replace("t_end = 0.01", f"t_end = {t_end}"))
+    out = tmp_path / "out"
+    assert cli.main([command, path, "--output-dir", str(out)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"chdf: t_end = {float(t_end):g} and h = {float(h):g}: t_end/h overflows\n"
+    assert not out.exists()
 
 
 def test_non_numeric_value_is_parse_error(tmp_path):
@@ -331,9 +346,32 @@ def test_snapshot_preset_rejects_nan_cell(tmp_path, grid):
     psi_path = str(tmp_path / "psi.snap")
     driver.write_snapshot(phi_path, src.phi, 0.0, "phi")
     driver.write_snapshot(psi_path, src.psi, 0.0, "psi")
-    with pytest.raises(BoundViolation, match="phi leaves"):
+    with pytest.raises(SnapshotFormatError, match=f"^{phi_path}: field phi leaves"):
         driver.initial_condition(driver.RunConfig(
             preset="snapshot", phi_path=phi_path, psi_path=psi_path), grid)
+
+
+@pytest.mark.parametrize("command", ["run", "steady"])
+@pytest.mark.parametrize("role, value, interval", [
+    ("phi", 1.5, "(-1, 1)"), ("phi", np.nan, "(-1, 1)"), ("psi", 0.0, "(0, 1)")])
+def test_snapshot_outside_its_bounds_is_an_io_failure(tmp_path, capsys, command,
+                                                      role, value, interval):
+    # The file's content is wrong, as with a bad checksum or name: exit 4,
+    # naming the file and the field, not a solver failure.
+    grid = Grid2D(16, 16, 1.0, 1.0)
+    fields = {"phi": np.full((16, 16), 0.3), "psi": np.full((16, 16), 0.6)}
+    fields[role][2, 3] = value
+    paths = {name: str(tmp_path / f"{name}.snap") for name in fields}
+    for name, data in fields.items():
+        driver.write_snapshot(paths[name], ScalarField(grid, data), 0.0, name)
+    cfg_path = _write(tmp_path / "bad.cfg", MINIMAL.replace(
+        "preset = homogeneous",
+        f"preset = snapshot\nphi_path = {paths['phi']}\npsi_path = {paths['psi']}"))
+    out = tmp_path / "o"
+    assert cli.main([command, cfg_path, "--output-dir", str(out)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == (
+        f"chdf: {paths[role]}: field {role} leaves {interval}\n")
+    assert not out.exists()
 
 
 def test_snapshot_preset_round_trip(tmp_path, grid):
@@ -458,11 +496,24 @@ def test_run_abort_on_injected_violation(tmp_path, monkeypatch):
         state.phi.data[0, 0] += 0.5   # break the phi mass law
 
     _perturb_after_step(monkeypatch, 3, kick)
-    with pytest.raises(Exception) as exc:
+    with pytest.raises(BoundViolation, match="^step 3: ") as exc:
         driver.run(cfg)
-    assert "step 4" in str(exc.value)
+    assert "phi mass missed its prescribed target" in str(exc.value)
     rows = driver.read_ledger(os.path.join(cfg.output_dir, cfg.series))
     assert len(rows) == 4   # the offending diagnostic row is the last one
+
+    # An error raised by the same step names the same number.
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise PicardStall("injected stall")
+        return step.coupled_time_step(*args)
+
+    monkeypatch.setattr(driver, "coupled_time_step", failing)
+    with pytest.raises(PicardStall, match="^step 3: injected stall$"):
+        driver.run(cfg)
 
 
 def test_run_reuses_each_step_energy_unless_hooked(tmp_path, monkeypatch):
@@ -502,7 +553,7 @@ width = 0.1
         # Zero-mean at the cell centres; it moves phi toward the interface.
         X, _ = state.phi.grid.cell_centers()
         state.phi.data += 1e-3 * np.cos(np.pi * X / state.phi.grid.Lx)
-        hooked.append(state.copy())
+        hooked.append(deepcopy(state))
 
     monkeypatch.setattr(mdl, "total_energy", counted)
     ledgers = []
@@ -723,6 +774,18 @@ def test_cli_snapshot_naming_an_invalid_grid_is_an_io_failure(tmp_path, nx, ny, 
 def test_cli_check_passes(tmp_path):
     cfg_path = _write(tmp_path / "c.cfg", MINIMAL)
     assert cli.main(["check", cfg_path]) == 0
+
+
+def test_cli_check_steps_with_the_configured_h(tmp_path, capsys):
+    # h*sigma1 = 0.2 < 1 at this h; a one-step check at h = 1e-3 would
+    # raise StepTooLarge for a config that `run` completes.
+    text = MINIMAL.replace("h = 1e-3", "h = 1e-4").replace("t_end = 0.01", "t_end = 2e-4")
+    cfg_path = _write(tmp_path / "c.cfg", text + "\n[model]\nsigma1 = 2000.0\n")
+    assert cli.main(["run", cfg_path, "--output-dir", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert cli.main(["check", cfg_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("PASS  ") for line in lines)
 
 
 def test_cli_steady_homogeneous(tmp_path, capsys):

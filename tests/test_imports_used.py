@@ -4,8 +4,9 @@ every top-level definition in chdf is used by the package.
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by an import statement in a module's body must appear as a name
 somewhere in that module.  `__init__.py` is skipped, since its imports are
-the package's re-exports.  A top-level def or class of a chdf module must be
-named by some chdf module outside its own body, re-exported by
+the package's re-exports.  A top-level def, class or assigned name of a chdf
+module must be named by some chdf module outside its own statement,
+re-exported by
 `__init__.py`, or looked up by the benchmark's tracer
 (perfbench/tracing.py TARGETS): nothing in the package exists only for the
 tests.
@@ -65,15 +66,26 @@ def _names(node) -> Counter:
     return out
 
 
+def _defined(node) -> list[str]:
+    """Names that a top-level statement defines: a def, a class, or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def unused_definitions(sources: dict[str, str], kept: set[tuple[str, str]]) -> list[str]:
-    """Top-level defs and classes, as "module.name", that no module in sources
-    names outside the definition itself and that kept does not hold."""
+    """Top-level defs, classes and assigned names, as "module.name", that no
+    module in sources names outside the defining statement itself and that
+    kept does not hold."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     named = sum((_names(tree) for tree in trees.values()), Counter())
-    return [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and (mod, node.name) not in kept
-            and named[node.name] == _names(node)[node.name]]
+    return [f"{mod}.{name}" for mod, tree in trees.items() for node in tree.body
+            for name in _defined(node)
+            if (mod, name) not in kept and named[name] == _names(node)[name]]
 
 
 def test_detector_finds_an_unused_definition():
@@ -81,6 +93,13 @@ def test_detector_finds_an_unused_definition():
                "b": "from .a import g\n\ndef h():\n    pass\n"}
     assert unused_definitions(sources, set()) == ["a.f", "a.C", "b.h"]
     assert unused_definitions(sources, {("a", "C"), ("b", "h")}) == ["a.f"]
+
+
+def test_detector_finds_an_unused_assignment():
+    sources = {"a": "X = 1\nY: int = X\nZ, W = 2, 3\nV = V0 = 4\n",
+               "b": "from .a import W\n\ndef h():\n    return V0\n"}
+    assert unused_definitions(sources, {("b", "h")}) == ["a.Y", "a.Z", "a.V"]
+    assert unused_definitions(sources, {("b", "h"), ("a", "Y")}) == ["a.Z", "a.V"]
 
 
 def test_every_definition_is_used_by_the_package():
