@@ -2,10 +2,9 @@
 
 The drag nu u + eta |u|^(r-2) u is the gradient of a convex pointwise
 density, so the velocity is the solenoidal zero of the Helmholtz-projected
-momentum residual.  It is found by Newton-Krylov on solenoidal fields,
-starting from the per-cell radial root of the projected forcing or from a
-solenoidal start the caller passes; the pressure is the potential part of
-the residual's projection.
+momentum residual, found by `grid.newton_krylov` on solenoidal fields from
+the per-cell radial root of the projected forcing or from a solenoidal
+start; the pressure is the potential part of the residual's projection.
 """
 
 from __future__ import annotations
@@ -15,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridops
-from .errors import NewtonDivergence, NonConvergence
+from .errors import NonConvergence
 from .grid import ScalarField, VectorField, pcg
 from .model import ModelParams
 
 _MAX_ROOT_ITER = 200
-_MAX_NEWTON = 50
 # Relative momentum residual at which velocity_solve stops.
 VELOCITY_TOL = 1e-11
 
@@ -83,19 +81,17 @@ def velocity_solve(
 
     With c1 = a/h + nu, f = force + (a/h) u_prev and P the Helmholtz
     projection, u is the solenoidal field with P((c1 + k) u - f) = 0,
-    k = eta |u|^(r-2).  Newton-Krylov on solenoidal fields: the start is P
-    of the pointwise radial root along Pf, or start when given (it must be
-    solenoidal, as a returned u is), each linear solve is CG (`grid.pcg`)
-    to relative residual 1e-3 on the exact drag Jacobian
-    (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, symmetric positive
-    definite on solenoidal fields, with the scalar preconditioner
-    1/(c1 + mean k), and the iteration stops once
-    max|R| <= VELOCITY_TOL (1 + max|f|) for the projected residual R or,
-    after at least one update, once max|R| <= loose_tol (1 + max|f|);
-    report.met_tol says whether the first held; a CG that reaches its cap
-    raises NewtonDivergence naming the update.  pi is minus the potential
-    part of that residual, formed once at the end, so u has zero normal
-    trace and round-off divergence, and pi has zero mean.
+    k = eta |u|^(r-2), found by `grid.newton_krylov` (at most
+    `grid.MAX_NEWTON` updates) from P of the pointwise radial root along Pf,
+    or from start (solenoidal, as a returned u is).  Its bound is
+    max|R| <= VELOCITY_TOL (1 + max|f|) for the projected residual R,
+    loose_tol is scaled by the same 1 + max|f|, and report.met_tol says
+    whether the bound held.  Each correction, added to u whole, is CG
+    (`grid.pcg`) to relative residual 1e-3 on the exact drag Jacobian
+    (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, SPD on solenoidal
+    fields, with the scalar preconditioner 1/(c1 + mean k).  pi is minus
+    the potential part of the final residual, so u has zero normal trace
+    and round-off divergence, and pi has zero mean.
     """
     grid = u_prev.grid
     if h <= 0:
@@ -117,18 +113,17 @@ def velocity_solve(
         s = m / np.where(gmag > 0, gmag, 1.0)
         u = gridops.project_velocity(VectorField(grid, s * pf.x, s * pf.y))
 
-    for it in range(1, _MAX_NEWTON + 2):
+    R = p_hat = mag = k = None
+
+    def residual(u):
+        nonlocal R, p_hat, mag, k
         mag = np.hypot(u.x, u.y)
         k = eta * mag ** (r - 2)
         R, p_hat = gridops.solenoidal_part(
             VectorField(grid, (c1 + k) * u.x - fx, (c1 + k) * u.y - fy))
-        res = float(np.max(np.hypot(R.x, R.y)))
-        met_tol = res <= VELOCITY_TOL * scale
-        if met_tol or (it > 1 and res <= loose_tol * scale):
-            break
-        if it > _MAX_NEWTON:
-            raise NonConvergence(f"velocity solve: momentum residual {res:.3e} "
-                                 f"after {_MAX_NEWTON} Newton updates")
+        return float(np.max(np.hypot(R.x, R.y))), VELOCITY_TOL * scale
+
+    def solve(u):
         inv = 1.0 / np.where(mag > 0, mag, 1.0)
         ex, ey = u.x * inv, u.y * inv
         radial = (r - 2) * k
@@ -142,13 +137,11 @@ def velocity_solve(
 
         # Scalar preconditioner: the mean isotropic drag coefficient.
         cbar = c1 + float(np.mean(k))
-        try:
-            dx, dy = pcg(matvec, lambda v: v / cbar, -np.stack((R.x, R.y)), 1e-3)
-        except NewtonDivergence as exc:
-            raise NewtonDivergence(f"velocity solve update {it}: {exc}; momentum "
-                                   f"residual {res:.3e}") from exc
-        u = VectorField(grid, u.x + dx, u.y + dy)
+        return pcg(matvec, lambda v: v / cbar, -np.stack((R.x, R.y)), 1e-3)
 
+    u, it, res, met_tol = gridops.newton_krylov(
+        u, residual, solve, lambda u, d: VectorField(grid, u.x + d[0], u.y + d[1]),
+        gridops.MAX_NEWTON, "velocity solve", loose_tol * scale)
     pi = -gridops.cc_inv(p_hat)
     pi -= pi.mean()
     return u, ScalarField(grid, pi), VelocitySolveReport(it, res, met_tol)

@@ -473,16 +473,17 @@ def _check_one_step(grid: Grid2D, params: ModelParams, h: float) -> tuple[bool, 
 
 
 def check(cfg: RunConfig) -> int:
-    """Run the invariant suites at the configured grid size."""
+    """Run the invariant suites at the configured grid size, printing each
+    suite's line as it returns; a suite that raises ends the command."""
     grid = Grid2D(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    checks = [
-        ("spectral operators", _check_operators(grid)),
-        ("drag scalar roots", _check_roots()),
-        ("coupling secants", _check_secants()),
-        ("one-step energy/mass", _check_one_step(grid, cfg.params, cfg.h)),
-    ]
     all_ok = True
-    for name, (ok, detail) in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name:24s} {detail}")
+    for name, suite in (
+        ("spectral operators", lambda: _check_operators(grid)),
+        ("drag scalar roots", _check_roots),
+        ("coupling secants", _check_secants),
+        ("one-step energy/mass", lambda: _check_one_step(grid, cfg.params, cfg.h)),
+    ):
+        ok, detail = suite()
+        print(f"{'PASS' if ok else 'FAIL'}  {name:24s} {detail}", flush=True)
         all_ok = all_ok and ok
     return 0 if all_ok else 1

@@ -53,10 +53,6 @@ class Grid2D:
     def cell_area(self) -> float:
         return self.hx * self.hy
 
-    @property
-    def area(self) -> float:
-        return self.Lx * self.Ly
-
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrids (X, Y) of cell-center coordinates, shape (ny, nx)."""
         x = (np.arange(self.nx) + 0.5) * self.hx
@@ -104,9 +100,6 @@ class ScalarField:
     def constant(cls, grid: Grid2D, value: float) -> "ScalarField":
         return cls(grid, np.full((grid.ny, grid.nx), value))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.data.copy())
-
 
 @dataclass
 class VectorField:
@@ -127,9 +120,6 @@ class VectorField:
     def zero(cls, grid: Grid2D) -> "VectorField":
         shape = (grid.ny, grid.nx)
         return cls(grid, np.zeros(shape), np.zeros(shape))
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.x.copy(), self.y.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +270,13 @@ def project_velocity(v: VectorField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# Linear solver
+# Newton-Krylov
 # ---------------------------------------------------------------------------
 
-# Matvec cap of every CG solve; on the benchmark inputs none takes over 51.
+# Matvec cap of every CG solve (on the benchmark inputs none takes over 51),
+# and update cap of each Newton solve of a time step (psi, phi, velocity).
 CG_MAXITER = 6000
+MAX_NEWTON = 50
 
 
 def pcg(matvec, precond, b: np.ndarray, rtol: float) -> np.ndarray:
@@ -320,3 +312,31 @@ def pcg(matvec, precond, b: np.ndarray, rtol: float) -> np.ndarray:
         rz, rz_prev = np.vdot(r, z), rz
         p = z + (rz / rz_prev) * p
     raise NewtonDivergence(f"CG reached its cap of {CG_MAXITER} iterations")
+
+
+def newton_krylov(x, residual, solve, update, max_newton, label, loose_tol):
+    """Inexact Newton-Krylov from x: the one loop of the psi, phi, stationary
+    and velocity solves (Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, ch. 6).
+
+    residual(x) returns (res, bound), the size of F(x) and the size at or
+    below which x counts as solved, and keeps what the linear solve needs.
+    The loop stops once res <= bound or, after at least one update, once
+    res <= loose_tol.  Otherwise x becomes update(x, solve(x)), solve giving
+    the Newton correction at x by CG (`pcg`) to a relative tolerance of its
+    own; a NewtonDivergence it raises is re-raised naming the update and
+    the residual.  More than max_newton updates raise NewtonDivergence.
+    Returns (x, residual evaluations, the last res, whether res <= bound).
+    """
+    for it in range(1, max_newton + 2):
+        res, bound = residual(x)
+        if res <= bound or (it > 1 and res <= loose_tol):
+            return x, it, res, res <= bound
+        if it > max_newton:
+            raise NewtonDivergence(f"{label} did not converge: residual "
+                                   f"{res:.3e} after {max_newton} updates")
+        try:
+            correction = solve(x)
+        except NewtonDivergence as exc:
+            raise NewtonDivergence(f"{label} update {it}: {exc}; residual {res:.3e}") from exc
+        x = update(x, correction)

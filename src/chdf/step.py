@@ -10,13 +10,11 @@ term whose mean, the Lagrange multiplier of the mean constraint, is the
 constant part of the chemical potential.  The operator is the energy
 operator L of `model.quadratic_symbol`, plus inv_lam/(m h) for a pair of
 mobility m.  `bounded_newton` forms that residual from one pointwise kernel
-call per evaluation, which returns the pointwise term and its Jacobian as
-arrays, solves it by projected Newton with a conjugate-gradient solve
-(`grid.pcg`, which raises at its one cap) of the symmetric Jacobian on the
-orthonormal cosine coefficients of the correction (diagonal
-preconditioner, Eisenstat-Walker relative tolerance) down to the
-tolerance or the round-off floor of the operator, whichever is larger,
-and returns the mean with the solution.
+call per evaluation (the pointwise term and its Jacobian, as arrays) and
+solves it by projected Newton in `grid.newton_krylov`, the loop the velocity
+solve shares, each correction by CG (`grid.pcg`) on its cosine coefficients,
+down to the tolerance or the operator's round-off floor, whichever is
+larger; it returns the mean with the solution.
 A Picard loop closes the velocity coupling: the velocity comes from
 `darcy.velocity_solve`, solenoidal as returned.  From the second Picard
 iteration on, the velocity, psi and phi solves start from the previous
@@ -41,11 +39,11 @@ import numpy as np
 from . import grid as gridops
 from . import model as mdl
 from .darcy import velocity_solve
-from .errors import BoundViolation, NewtonDivergence, PicardStall, StepTooLarge
+from .errors import BoundViolation, PicardStall, StepTooLarge
 from .grid import ScalarField, VectorField, cc_fwd, cc_inv, pcg
 from .model import ModelParams
 
-# The name perfbench/tracing.py wraps as "krylov"; ROADMAP item 3 removes it.
+# The name perfbench/tracing.py wraps as "krylov"; ROADMAP item 1 removes it.
 lgmres = pcg
 
 
@@ -81,8 +79,8 @@ class StepReport:
     """What the solver decided; `diagnostics.build_ledger_row` forms the ledger."""
 
     picard_iterations: int
-    # Largest per-solve counts over the step's Picard iterations: the
-    # residual evaluations MAX_NEWTON caps, and the velocity outer_iterations.
+    # Largest residual-evaluation counts of each solve over the step's
+    # Picard iterations (the velocity's are its outer_iterations).
     newton_iterations_phi: int
     newton_iterations_psi: int
     velocity_iterations: int
@@ -146,12 +144,11 @@ def _damped_update(cur: np.ndarray, delta: np.ndarray, lo: float, hi: float) -> 
     return trial
 
 
-# Stopping rules of each step: max|F| of the psi and phi Newton solves,
-# the Picard change that ends the loop, and the caps on Newton updates and
-# Picard iterations (the velocity solve's is `darcy.VELOCITY_TOL`).
+# Stopping rules of each step: max|F| of the psi and phi Newton solves, the
+# Picard change that ends the loop and the cap on Picard iterations (the
+# velocity's is `darcy.VELOCITY_TOL`; `grid.MAX_NEWTON` caps all three solves).
 NEWTON_TOL = 1e-11
 PICARD_TOL = 1e-11
-MAX_NEWTON = 50
 MAX_PICARD = 100
 
 # Eisenstat-Walker forcing for the inner linear solves of bounded_newton
@@ -166,12 +163,11 @@ EW_GAMMA = 0.9
 # Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 6).
 PICARD_FORCING = 0.01
 
-
 # Multiple of eps max(symbol) max|x|, the round-off in the residual's
 # symbol*x term, below which bounded_newton does not ask max|F| to fall
 # (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
 # ch. 5).  A factor of 1 still leaves some L = 1 solves updating at
-# round-off until MAX_NEWTON.
+# round-off until their Newton cap.
 ROUNDOFF_FACTOR = 4.0
 
 
@@ -200,53 +196,40 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
 
         (J v)_i = symbol[i] v_i  +  P0( sum_j C_ij v_j ).
 
-    The linear solve runs on the orthonormal cosine coefficients c of the
-    correction, where J is symbol*c + P0 cc_fwd(C cc_inv(c)), two transforms
-    per application, symmetric because each C(x) is, and the preconditioner
-    is the diagonal 1/(symbol[i] + mean(C_ii)), zero on the constant mode.
-    The transform pair is an isometry, so the Krylov norms are those of the
-    field.  The solver is preconditioned CG (`grid.pcg`) on the (k, ny, nx)
-    coefficient array.  J need not be definite: near a constrained saddle
-    point, as the stationary solve meets on lamellae, CG takes directions
-    with p.Jp < 0 as they come and raises NewtonDivergence only on exact
-    breakdown or at its cap; the stopping rule on max|F| still guards the
-    answer.  The linear solve of update k stops at the relative residual
-    eta_k (Eisenstat-Walker forcing, no absolute tolerance): eta_0 = ETA_MAX
-    and
-    eta_k = min(ETA_MAX, max(EW_GAMMA (|F_k| / |F_k-1|)^2, 0.5 tol / |F_k|))
-    with |F| the 2-norm of the residual field (that of the Krylov rhs): the
-    solve is loose while Newton converges slowly and tight once it converges
-    fast, and the floor stops it working past what the stopping rule needs
-    (ETA_MAX still caps eta when |F_k| < 50 tol).  Each update is the
-    zero-mean Newton correction projected onto box intersected with fixed
-    mean (`_damped_update`: the whole correction when it moves no cell by
-    more than 90 percent of its room), after which the mean is re-imposed
-    against round-off.  Up to max_newton updates are taken, stopping once
-    max|F(x)| <= max(tol, ROUNDOFF_FACTOR eps max(symbol) max|x|): the second
-    term is the round-off that the high modes of symbol*x carry, below which
-    an absolute tol cannot be met when the symbol is large (fine grids, small
-    domains).  After at least one update the solve also stops once
-    max|F(x)| <= loose_tol (inexact Picard, see `_attempt_step`); a start
-    that misses the first bound is always updated, so that a warm start one
-    update short of tol does not cost the Picard loop another iteration.
-    Returns (x, number of residual evaluations, the mean of each field of p
-    at the returned x, whether max|F(x)| met the first bound).
+    The loop is `grid.newton_krylov`, with at most max_newton updates,
+    loose_tol and the bound max|F| <= max(tol, ROUNDOFF_FACTOR eps
+    max(symbol) max|x|), whose second term is the round-off of symbol*x.
+    Each correction is solved by krylov (CG, `grid.pcg`) on its orthonormal
+    cosine coefficients c, where J is symbol*c + P0 cc_fwd(C cc_inv(c)) (two
+    transforms), symmetric since each C(x) is and indefinite near a
+    constrained saddle point (the stationary lamellae), under the diagonal
+    preconditioner 1/(symbol[i] + mean(C_ii)), zero on the constant mode.
+    Update k's relative CG tolerance (Eisenstat-Walker) is eta_0 = ETA_MAX and
+    eta_k = min(ETA_MAX, max(EW_GAMMA (|F_k| / |F_k-1|)^2, 0.5 tol / |F_k|)),
+    |F| the 2-norm of the residual field: loose while Newton converges
+    slowly, tight once it converges fast, and no tighter than the bound
+    needs.  Each update is the zero-mean correction projected onto box
+    intersected with fixed mean (`_damped_update`), after which the mean is
+    re-imposed against round-off.  Returns (x, residual evaluations, the
+    mean of each field of p at x, whether max|F(x)| met the bound).
     """
-    x = np.array(x, dtype=float)
     floor = ROUNDOFF_FACTOR * np.finfo(float).eps * float(np.max(symbol))
-    for it in range(1, max_newton + 2):
+    # The arrays an evaluation, its solve and its update make stay bound here
+    # until the next replaces them: on steady-128, freeing them early let
+    # glibc trim the heap between updates and re-fault it in every CG.
+    fnorm_prev = p = C = pbar = R = prec = delta = None
+
+    def residual(x):
+        nonlocal p, C, pbar, R
         p, C = pointwise(x)
         pbar = p.mean(axis=(-2, -1), keepdims=True)
         R = cc_inv(symbol * cc_fwd(x) + k_hat) + (p - pbar)
-        res = float(np.max(np.abs(R)))
-        met_tol = res <= max(tol, floor * float(np.max(np.abs(x))))
-        if met_tol or (it > 1 and res <= loose_tol):
-            return x, it, pbar.ravel(), met_tol
-        if it > max_newton:
-            raise NewtonDivergence(f"{label} did not converge: residual "
-                                   f"{res:.3e} after {max_newton} updates")
+        return float(np.max(np.abs(R))), max(tol, floor * float(np.max(np.abs(x))))
+
+    def solve(x):
+        nonlocal fnorm_prev, prec
         fnorm = float(np.linalg.norm(R))
-        eta = ETA_MAX if it == 1 else min(
+        eta = ETA_MAX if fnorm_prev is None else min(
             ETA_MAX, max(EW_GAMMA * (fnorm / fnorm_prev) ** 2, 0.5 * tol / fnorm))
         fnorm_prev = fnorm
         cbar = [max(float(C[i, i].mean()), 1e-12) for i in range(len(x))]
@@ -264,15 +247,19 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
         def precond(c):
             return c * prec
 
-        try:
-            sol = krylov(matvec, precond, cc_fwd(-R, norm="ortho"), eta)
-        except NewtonDivergence as exc:
-            raise NewtonDivergence(f"{label} update {it}: {exc}; residual "
-                                   f"{res:.3e}") from exc
+        return krylov(matvec, precond, cc_fwd(-R, norm="ortho"), eta)
+
+    def update(x, sol):
+        nonlocal delta
         delta = cc_inv(sol, norm="ortho")
         for i, (lo, hi) in enumerate(boxes):
             x[i] = _damped_update(x[i], _p0(delta[i]), lo, hi)
             x[i] += means[i] - x[i].mean()
+        return x
+
+    x, it, _, met_tol = gridops.newton_krylov(
+        np.array(x, dtype=float), residual, solve, update, max_newton, label, loose_tol)
+    return x, it, pbar.ravel(), met_tol
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +290,12 @@ def ch_subsystem_solve(
     Each Newton solve runs to NEWTON_TOL, or to loose_tol after one
     update (`bounded_newton`).  Returns (phi, psi, potentials, phi Newton
     count, psi Newton count, met), met saying whether both solves met
-    NEWTON_TOL (with its round-off floor).  The means of phi, psi
-    equal the targets exactly, each
-    mu_hat is zero-mean and each mu is mu_hat plus the mean of its
-    pointwise term at the solution, as bounded_newton returns it.  The
-    Newton solves start from prev shifted to the targets, or from start =
-    (phi, psi), which must lie strictly inside the bounds with the target
-    means (a previous return value does).
+    NEWTON_TOL (with its round-off floor).  The means of phi, psi equal the
+    targets exactly, each mu_hat is zero-mean and each mu is mu_hat plus
+    the mean of its pointwise term at the solution, as bounded_newton
+    returns it.  The Newton solves start from prev shifted to the targets,
+    or from start = (phi, psi), which must lie strictly inside the bounds
+    with the target means (a previous return value does).
     """
     grid = prev.phi.grid
     symbol = mdl.quadratic_symbol(grid, params)
@@ -334,7 +320,7 @@ def ch_subsystem_solve(
             x0 = x_prev + (target - x_prev.mean())
         (x,), iters, (pbar,), met_tol = bounded_newton(
             x0[None], pointwise, symbol[i:i + 1] + grid.inv_lam / (m * h), k_hat,
-            [box], [target], NEWTON_TOL, MAX_NEWTON, label=label,
+            [box], [target], NEWTON_TOL, gridops.MAX_NEWTON, label=label,
             loose_tol=loose_tol)
         mu_hat = -cc_inv(grid.inv_lam * cc_fwd(x) / (m * h) + k_hat)
         return x, mu_hat, iters, pbar, met_tol

@@ -142,8 +142,9 @@ def test_dissipation_integrands_constant_speed(grid):
     u = VectorField(grid, np.full((32, 32), 3.0), np.full((32, 32), 4.0))
     params = ModelParams(nu_const=2.0, eta_const=0.5, r=3.0)
     d2, dr = dissipation_integrands(u, params)
-    assert d2 == pytest.approx(2.0 * 25.0 * grid.area, rel=1e-13)
-    assert dr == pytest.approx(0.5 * 125.0 * grid.area, rel=1e-13)
+    area = grid.Lx * grid.Ly
+    assert d2 == pytest.approx(2.0 * 25.0 * area, rel=1e-13)
+    assert dr == pytest.approx(0.5 * 125.0 * area, rel=1e-13)
 
 
 def test_velocity_solve_rejects_bad_step(grid):
@@ -164,5 +165,5 @@ def test_velocity_cg_at_its_cap_raises(grid, monkeypatch):
     velocity_solve(VectorField.zero(grid), force, 0.1, params)
     monkeypatch.setattr(gridops, "CG_MAXITER", 1)
     with pytest.raises(NewtonDivergence, match=r"^velocity solve update \d+: CG reached "
-                       r"its cap of 1 iterations; momentum residual \d"):
+                       r"its cap of 1 iterations; residual \d"):
         velocity_solve(VectorField.zero(grid), force, 0.1, params)

@@ -21,8 +21,7 @@ def grid():
 
 
 def _zero_potentials(grid):
-    z = ScalarField.constant(grid, 0.0)
-    return ChemicalPotentials(z, z.copy(), z.copy(), z.copy())
+    return ChemicalPotentials(*(ScalarField.constant(grid, 0.0) for _ in range(4)))
 
 
 def _row(time, gphi=0.0, gpsi=0.0):

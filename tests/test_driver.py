@@ -788,6 +788,18 @@ def test_cli_check_steps_with_the_configured_h(tmp_path, capsys):
     assert len(lines) == 4 and all(line.startswith("PASS  ") for line in lines)
 
 
+def test_cli_check_prints_each_suite_before_one_raises(tmp_path, capsys):
+    # h*sigma1 = 2 makes the one-step suite raise StepTooLarge: a solver
+    # failure (exit 3) that comes after the three suites that pass.
+    text = MINIMAL.replace("homogeneous", "stripe")
+    cfg_path = _write(tmp_path / "c.cfg", text + "\n[model]\nsigma1 = 2000.0\n")
+    assert cli.main(["check", cfg_path]) == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert [line.split()[:2] for line in captured.out.splitlines()] == [
+        ["PASS", "spectral"], ["PASS", "drag"], ["PASS", "coupling"]]
+    assert "h*sigma1 = 2.000e+00 >= 1" in captured.err
+
+
 def test_cli_steady_homogeneous(tmp_path, capsys):
     cfg_path = _write(tmp_path / "c.cfg", MINIMAL)
     out = tmp_path / "o"

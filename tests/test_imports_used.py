@@ -1,15 +1,22 @@
 """Every top-level import of a chdf module or test module is used by it, and
-every top-level definition in chdf is used by the package.
+every definition in chdf is used by the package.
 
 No linter ships with the toolchain, so this walks the syntax tree: a name
 bound by an import statement in a module's body must appear as a name
 somewhere in that module.  `__init__.py` is skipped, since its imports are
 the package's re-exports.  A top-level def, class or assigned name of a chdf
-module must be named by some chdf module outside its own statement,
-re-exported by
-`__init__.py`, or looked up by the benchmark's tracer
-(perfbench/tracing.py TARGETS): nothing in the package exists only for the
-tests.
+module, and a method or property of a top-level class other than a dunder,
+must be named by some chdf module outside its own statement, re-exported by
+`__init__.py`, or looked up by the benchmark's tracer (perfbench/tracing.py
+TARGETS, which holds `driver.LedgerWriter.write`): nothing in the package
+exists only for the tests.  An export stays if the CLI path or the
+benchmark uses it, or if it states a result of the paper
+(`classify_good_times`, `mass_closed_form`).
+
+Methods are matched by name, so a method that shares its name with one the
+package calls on another type is not seen.  `copy`, which numpy arrays have,
+is such a name: the guard cannot tell an unused `ScalarField.copy` or
+`VectorField.copy`, so those classes define no `copy`.
 """
 
 import ast
@@ -66,26 +73,34 @@ def _names(node) -> Counter:
     return out
 
 
-def _defined(node) -> list[str]:
-    """Names that a top-level statement defines: a def, a class, or the
-    plain names an assignment binds."""
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        return [node.name]
+def _defined(node) -> list[tuple[str, str, ast.AST]]:
+    """(shown name, looked-up name, defining statement) of each definition
+    in a top-level statement: a def, a class and, as "Class.name", each of
+    its methods and properties but the dunders, or the plain names an
+    assignment binds."""
+    if isinstance(node, ast.ClassDef):
+        return [(node.name, node.name, node)] + [
+            (f"{node.name}.{item.name}", item.name, item) for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+    if isinstance(node, ast.FunctionDef):
+        return [(node.name, node.name, node)]
     targets = (node.targets if isinstance(node, ast.Assign)
                else [node.target] if isinstance(node, ast.AnnAssign) else [])
-    return [n.id for t in targets for n in ast.walk(t)
+    return [(n.id, n.id, node) for t in targets for n in ast.walk(t)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
 
 
 def unused_definitions(sources: dict[str, str], kept: set[tuple[str, str]]) -> list[str]:
-    """Top-level defs, classes and assigned names, as "module.name", that no
-    module in sources names outside the defining statement itself and that
-    kept does not hold."""
+    """Definitions, as "module.name" or "module.Class.method", that no module
+    in sources names outside the defining statement itself and that kept
+    does not hold, as (module, name) or (module.Class, method)."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     named = sum((_names(tree) for tree in trees.values()), Counter())
-    return [f"{mod}.{name}" for mod, tree in trees.items() for node in tree.body
-            for name in _defined(node)
-            if (mod, name) not in kept and named[name] == _names(node)[name]]
+    kept = {f"{mod}.{name}" for mod, name in kept}
+    return [f"{mod}.{shown}" for mod, tree in trees.items() for node in tree.body
+            for shown, name, where in _defined(node)
+            if f"{mod}.{shown}" not in kept and named[name] == _names(where)[name]]
 
 
 def test_detector_finds_an_unused_definition():
@@ -100,6 +115,16 @@ def test_detector_finds_an_unused_assignment():
                "b": "from .a import W\n\ndef h():\n    return V0\n"}
     assert unused_definitions(sources, {("b", "h")}) == ["a.Y", "a.Z", "a.V"]
     assert unused_definitions(sources, {("b", "h"), ("a", "Y")}) == ["a.Z", "a.V"]
+
+
+def test_detector_finds_an_unused_method():
+    sources = {"a": ("class C:\n    def __init__(self):\n        self.f()\n\n"
+                     "    def f(self):\n        pass\n\n    @property\n"
+                     "    def area(self):\n        return self.area\n\n"
+                     "    def write(self):\n        pass\n"),
+               "b": "from .a import C\n"}
+    assert unused_definitions(sources, set()) == ["a.C.area", "a.C.write"]
+    assert unused_definitions(sources, {("a.C", "write")}) == ["a.C.area"]
 
 
 def test_every_definition_is_used_by_the_package():

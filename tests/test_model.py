@@ -187,7 +187,7 @@ def test_energy_of_homogeneous_state():
     phi = ScalarField.constant(grid, 0.2)
     psi = ScalarField.constant(grid, 0.4)
     expected = (mdl.f_phi(0.2)[0] + mdl.f_psi(0.4)[0]
-                + mdl.coupling_g(0.2, 0.4, 1.0, 0.5)[0]) * grid.area
+                + mdl.coupling_g(0.2, 0.4, 1.0, 0.5)[0]) * grid.Lx * grid.Ly
     assert mdl.free_energy(phi, psi, params) == pytest.approx(expected, abs=1e-13)
 
 

@@ -218,7 +218,10 @@ def test_newton_cap_admits_the_final_update(grid, monkeypatch):
     params = ModelParams(alpha=1.0, w=1.0, theta_c=2.0, sigma2=0.1)
     state = _stripe_state(grid)
     nxt, _, report = coupled_time_step(state, 1e-3, params)
-    monkeypatch.setattr(step, "MAX_NEWTON", report.newton_iterations_phi - 1)
+    # The cap is shared by all three solves of the step.
+    monkeypatch.setattr(gridops, "MAX_NEWTON", max(
+        report.newton_iterations_phi, report.newton_iterations_psi,
+        report.velocity_iterations) - 1)
     nxt2, _, report2 = coupled_time_step(state, 1e-3, params)
     assert np.array_equal(nxt2.phi.data, nxt.phi.data)
     assert np.array_equal(nxt2.psi.data, nxt.psi.data)
@@ -477,6 +480,65 @@ def test_inner_solve_failure_names_its_solve(grid, monkeypatch):
     with pytest.raises(NewtonDivergence, match=r"^(psi|phi) Newton update \d+: "
                        r"CG reached its cap of 1 iterations; residual \d"):
         coupled_time_step(_stripe_state(grid), 1e-3, params)
+
+
+def _solve_with_newton_cap(label, grid, monkeypatch):
+    """A solve of the given label, as a function of its Newton cap that
+    returns the number of updates the solve took."""
+    params = ModelParams(w=1.0, theta_c=1.5)
+    state = _stripe_state(grid, amplitude=0.7)
+    targets = mean_targets(state.phi, state.psi, 1e-3, params)
+    if label == "velocity solve":
+        X, Y = grid.cell_centers()
+        force = VectorField(grid, np.sin(np.pi * X) * np.cos(np.pi * Y),
+                            -np.cos(np.pi * X) * np.sin(np.pi * Y))
+
+        def run(cap):
+            monkeypatch.setattr(gridops, "MAX_NEWTON", cap)
+            _, _, report = darcy.velocity_solve(VectorField.zero(grid), force, 1e-3,
+                                                ModelParams(alpha=0.0, r=4.0))
+            return report.outer_iterations - 1
+    elif label == "stationary solve":
+        krylov = diagnostics._krylov_solve
+
+        def run(cap):
+            monkeypatch.setattr(diagnostics, "STATIONARY_MAX_NEWTON", cap)
+            updates = []
+
+            def counted(*args):
+                updates.append(1)
+                return krylov(*args)
+
+            monkeypatch.setattr(diagnostics, "_krylov_solve", counted)
+            diagnostics.stationary_solve(0.0, 0.5, (state.phi, state.psi), params)
+            return len(updates)
+    else:
+        # The other pair of the two starts from its converged field, so only
+        # the labelled solve needs an update.
+        phi, psi, _, _, _, _ = ch_subsystem_solve(state, state.u, targets, 1e-3, params)
+        phi0, psi0 = (ScalarField(grid, f.data + (t - f.data.mean()))
+                      for f, t in ((state.phi, targets[0]), (state.psi, targets[1])))
+        start = (phi, psi0) if label == "psi Newton" else (phi0, psi)
+
+        def run(cap):
+            monkeypatch.setattr(gridops, "MAX_NEWTON", cap)
+            out = ch_subsystem_solve(state, state.u, targets, 1e-3, params, start=start)
+            return out[4 if label == "psi Newton" else 3] - 1
+    return run
+
+
+@pytest.mark.parametrize("label", ["psi Newton", "phi Newton", "stationary solve",
+                                   "velocity solve"])
+def test_every_solve_raises_at_its_newton_cap(grid, monkeypatch, label):
+    # One Newton-Krylov loop, one contract: a cap below what the solve needs
+    # raises NewtonDivergence with the shared text.
+    run = _solve_with_newton_cap(label, grid, monkeypatch)
+    need = run(60)
+    assert need >= 2
+    assert run(need) == need
+    with pytest.raises(NewtonDivergence, match=rf"^{label} did not converge: "
+                       rf"residual \S+ after {need - 1} updates$"):
+        run(need - 1)
 
 
 def test_one_krylov_iteration_costs_two_transforms(grid, monkeypatch):
