@@ -10,7 +10,7 @@ Subpackage layout:
 - driver, cli: configuration, IO formats, and the command-line front end
 """
 
-from .darcy import VelocitySolveReport, forchheimer_scalar_root, velocity_solve
+from .darcy import VelocitySolveReport, velocity_solve
 from .diagnostics import (EquilibriumSolution, LedgerRow, classify_good_times,
                           equilibrium_residual, mass_closed_form,
                           separation_margin, stationary_solve)

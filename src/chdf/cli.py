@@ -9,9 +9,8 @@ import sys
 import scipy.fft
 
 from . import driver
-from .errors import (NonConvergence, BoundViolation, MeanNotZero,
-                     OutOfDomain, ParseError, SnapshotFormatError,
-                     StepTooLarge, UnknownPreset, ValidationError)
+from .errors import (ChdfError, ParseError, SnapshotFormatError,
+                     UnknownPreset, ValidationError)
 
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
@@ -61,13 +60,12 @@ def main(argv=None) -> int:
         except (ValidationError, ParseError, UnknownPreset) as exc:
             print(f"chdf: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        except (NonConvergence, BoundViolation, StepTooLarge, MeanNotZero,
-                OutOfDomain) as exc:
-            print(f"chdf: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
         except (OSError, SnapshotFormatError) as exc:
             print(f"chdf: {exc}", file=sys.stderr)
             return EXIT_IO
+        except ChdfError as exc:
+            print(f"chdf: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
 
 
 if __name__ == "__main__":

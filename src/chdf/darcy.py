@@ -3,8 +3,9 @@
 The drag nu u + eta |u|^(r-2) u is the gradient of a convex pointwise
 density, so the velocity is the solenoidal zero of the Helmholtz-projected
 momentum residual, found by `grid.newton_krylov` on solenoidal fields from
-the per-cell radial root of the projected forcing or from a solenoidal
-start; the pressure is the potential part of the residual's projection.
+a closed-form bracket of the per-cell radial root along the projected
+forcing or from a solenoidal start; the pressure is the potential part of
+the residual's projection.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridops
-from .errors import NonConvergence
 from .grid import ScalarField, VectorField, pcg
 from .model import ModelParams
 
-_MAX_ROOT_ITER = 200
 # Relative momentum residual at which velocity_solve stops.
 VELOCITY_TOL = 1e-11
 
@@ -26,46 +25,8 @@ VELOCITY_TOL = 1e-11
 @dataclass(frozen=True)
 class VelocitySolveReport:
     outer_iterations: int
-    final_momentum_residual: float
     # Whether the final momentum residual met VELOCITY_TOL, not only loose_tol.
     met_tol: bool
-
-
-def _radial_roots(c1: np.ndarray, c2: np.ndarray, r: float, gmag: np.ndarray) -> np.ndarray:
-    """Vectorized solve of c1 m + c2 m^(r-1) = g, m >= 0.
-
-    Safeguarded Newton: iterates are clipped into the shrinking bracket
-    [lo, hi] with hi = g/c1, so convergence is unconditional.
-    """
-    gmag = np.asarray(gmag, dtype=float)
-    lo = np.zeros_like(gmag)
-    hi = gmag / c1
-    m = np.where(hi > 0, gmag / (c1 + c2 * np.maximum(hi, 0.0) ** (r - 2)), 0.0)
-    tol = 1e-12 * (1.0 + gmag)
-    for _ in range(_MAX_ROOT_ITER):
-        res = c1 * m + c2 * m ** (r - 1) - gmag
-        if np.all(np.abs(res) <= tol):
-            return m
-        lo = np.where(res < 0, m, lo)
-        hi = np.where(res > 0, m, hi)
-        slope = c1 + (r - 1) * c2 * m ** (r - 2)
-        m_new = m - res / slope
-        bad = (m_new <= lo) | (m_new >= hi) | ~np.isfinite(m_new)
-        m = np.where(bad, 0.5 * (lo + hi), m_new)
-    raise NonConvergence("radial drag root solve did not converge")
-
-
-def forchheimer_scalar_root(c1: float, c2: float, r: float, g_mag: float) -> float:
-    """Unique m >= 0 with c1 m + c2 m^(r-1) = g_mag."""
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("drag coefficients must be positive")
-    if r <= 2:
-        raise ValueError("drag exponent must exceed 2")
-    if g_mag < 0:
-        raise ValueError("forcing magnitude must be nonnegative")
-    if g_mag == 0.0:
-        return 0.0
-    return float(_radial_roots(np.float64(c1), np.float64(c2), r, np.float64(g_mag)))
 
 
 def velocity_solve(
@@ -82,8 +43,10 @@ def velocity_solve(
     With c1 = a/h + nu, f = force + (a/h) u_prev and P the Helmholtz
     projection, u is the solenoidal field with P((c1 + k) u - f) = 0,
     k = eta |u|^(r-2), found by `grid.newton_krylov` (at most
-    `grid.MAX_NEWTON` updates) from P of the pointwise radial root along Pf,
-    or from start (solenoidal, as a returned u is).  Its bound is
+    `grid.MAX_NEWTON` updates) from start (solenoidal, as a returned u is)
+    or else from P(s Pf) with |s Pf| = min(g/c1, (g/eta)^(1/(r-1))),
+    g = |Pf|, which lies in [m*, 2 m*] for the pointwise root m* of
+    c1 m + eta m^(r-1) = g.  Its bound is
     max|R| <= VELOCITY_TOL (1 + max|f|) for the projected residual R,
     loose_tol is scaled by the same 1 + max|f|, and report.met_tol says
     whether the bound held.  Each correction, added to u whole, is CG
@@ -109,7 +72,9 @@ def velocity_solve(
     else:
         pf = gridops.project_velocity(VectorField(grid, fx, fy))
         gmag = np.hypot(pf.x, pf.y)
-        m = _radial_roots(c1, eta, r, gmag)
+        # Each term of c1 m + eta m^(r-1) = g is at most g at its root m*,
+        # and the left side is convex and zero at 0: m* <= m <= 2 m*.
+        m = np.minimum(gmag / c1, (gmag / eta) ** (1.0 / (r - 1)))
         s = m / np.where(gmag > 0, gmag, 1.0)
         u = gridops.project_velocity(VectorField(grid, s * pf.x, s * pf.y))
 
@@ -139,12 +104,12 @@ def velocity_solve(
         cbar = c1 + float(np.mean(k))
         return pcg(matvec, lambda v: v / cbar, -np.stack((R.x, R.y)), 1e-3)
 
-    u, it, res, met_tol = gridops.newton_krylov(
+    u, it, met_tol = gridops.newton_krylov(
         u, residual, solve, lambda u, d: VectorField(grid, u.x + d[0], u.y + d[1]),
         gridops.MAX_NEWTON, "velocity solve", loose_tol * scale)
     pi = -gridops.cc_inv(p_hat)
     pi -= pi.mean()
-    return u, ScalarField(grid, pi), VelocitySolveReport(it, res, met_tol)
+    return u, ScalarField(grid, pi), VelocitySolveReport(it, met_tol)
 
 
 def dissipation_integrands(u: VectorField, params: ModelParams) -> tuple[float, float]:

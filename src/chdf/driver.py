@@ -437,14 +437,6 @@ def _check_operators(grid: Grid2D) -> tuple[bool, str]:
     return ok, f"operator eigenmode residual {err:.3e}"
 
 
-def _check_roots() -> tuple[bool, str]:
-    from .darcy import forchheimer_scalar_root
-    e1 = abs(forchheimer_scalar_root(1.0, 1.0, 3.0, 2.0) - 1.0)
-    e2 = abs(forchheimer_scalar_root(1.0, 1.0, 4.0, 10.0) - 2.0)
-    err = max(e1, e2)
-    return err <= 1e-12, f"scalar drag root error {err:.3e}"
-
-
 def _check_secants() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     a = rng.uniform(-0.99, 0.99, 2000)
@@ -479,7 +471,6 @@ def check(cfg: RunConfig) -> int:
     all_ok = True
     for name, suite in (
         ("spectral operators", lambda: _check_operators(grid)),
-        ("drag scalar roots", _check_roots),
         ("coupling secants", _check_secants),
         ("one-step energy/mass", lambda: _check_one_step(grid, cfg.params, cfg.h)),
     ):

@@ -326,12 +326,12 @@ def newton_krylov(x, residual, solve, update, max_newton, label, loose_tol):
     the Newton correction at x by CG (`pcg`) to a relative tolerance of its
     own; a NewtonDivergence it raises is re-raised naming the update and
     the residual.  More than max_newton updates raise NewtonDivergence.
-    Returns (x, residual evaluations, the last res, whether res <= bound).
+    Returns (x, residual evaluations, whether the last res <= bound).
     """
     for it in range(1, max_newton + 2):
         res, bound = residual(x)
         if res <= bound or (it > 1 and res <= loose_tol):
-            return x, it, res, res <= bound
+            return x, it, res <= bound
         if it > max_newton:
             raise NewtonDivergence(f"{label} did not converge: residual "
                                    f"{res:.3e} after {max_newton} updates")

@@ -79,11 +79,10 @@ class StepReport:
     """What the solver decided; `diagnostics.build_ledger_row` forms the ledger."""
 
     picard_iterations: int
-    # Largest residual-evaluation counts of each solve over the step's
-    # Picard iterations (the velocity's are its outer_iterations).
+    # Largest residual-evaluation counts of the phi and psi solves over the
+    # step's Picard iterations.
     newton_iterations_phi: int
     newton_iterations_psi: int
-    velocity_iterations: int
     mass_target_a: float
     h_used: float
     h_halvings: int = 0
@@ -257,7 +256,7 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
             x[i] += means[i] - x[i].mean()
         return x
 
-    x, it, _, met_tol = gridops.newton_krylov(
+    x, it, met_tol = gridops.newton_krylov(
         np.array(x, dtype=float), residual, solve, update, max_newton, label, loose_tol)
     return x, it, pbar.ravel(), met_tol
 
@@ -360,7 +359,7 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
     # The previous Picard iterate starts the inner solves once there is one,
     # and the last Picard change loosens their tolerances (inexact Picard).
     phi = psi = u = change = None
-    newton_phi = newton_psi = velocity_its = 0
+    newton_phi = newton_psi = 0
     for picard_it in range(1, MAX_PICARD + 1):
         loose_tol = 0.0 if change is None else PICARD_FORCING * change
         gmp = gridops.gradient(ScalarField(grid, mu_phi_hat))
@@ -372,7 +371,6 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
         )
         u, _, vel = velocity_solve(prev.u, force, h, params, start=u,
                                    loose_tol=loose_tol)
-        velocity_its = max(velocity_its, vel.outer_iterations)
 
         phi_new, psi_new, potentials, it_phi, it_psi, met_tol = ch_subsystem_solve(
             prev, u, targets, h, params,
@@ -399,7 +397,7 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
         raise PicardStall("velocity/phase coupling did not converge")
 
     return (State(u, phi, psi, prev.time + h), potentials,
-            StepReport(picard_it, newton_phi, newton_psi, velocity_its, targets[0], h))
+            StepReport(picard_it, newton_phi, newton_psi, targets[0], h))
 
 
 def coupled_time_step(

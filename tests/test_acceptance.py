@@ -16,7 +16,7 @@ from chdf import diagnostics as diag
 from chdf import driver
 from chdf import grid as gridops
 from chdf import model as mdl
-from chdf.darcy import forchheimer_scalar_root, velocity_solve
+from chdf.darcy import velocity_solve
 from chdf.errors import ValidationError
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
@@ -184,12 +184,6 @@ def test_bound_preservation(stripe_runs, spinodal_run):
 
 
 def test_drag_scalar_solver():
-    assert abs(forchheimer_scalar_root(1.0, 1.0, 3.0, 2.0) - 1.0) <= 1e-12
-    assert abs(forchheimer_scalar_root(1.0, 1.0, 4.0, 10.0) - 2.0) <= 1e-12
-    g = np.linspace(0.0, 20.0, 1000)
-    roots = np.array([forchheimer_scalar_root(0.8, 1.2, 3.0, gi) for gi in g])
-    assert np.all(np.diff(roots) > 0)
-
     X, Y = GRID.cell_centers()
     p = np.cos(np.pi * X) * np.cos(2 * np.pi * Y)
     force = gridops.gradient(ScalarField(GRID, p))
@@ -197,8 +191,7 @@ def test_drag_scalar_solver():
                              ModelParams(r=3.0))
     u_norm = math.sqrt(float(np.sum(u.x ** 2 + u.y ** 2)) * GRID.cell_area)
     assert u_norm <= 1e-9
-    print(f"\nPASS drag scalar solver: analytic roots to 1e-12, monotone over 1000 "
-          f"samples, gradient forcing |u| = {u_norm:.2e}")
+    print(f"\nPASS drag scalar solver: gradient forcing |u| = {u_norm:.2e}")
 
 
 def test_secant_identities():

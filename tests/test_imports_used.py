@@ -11,12 +11,17 @@ must be named by some chdf module outside its own statement, re-exported by
 TARGETS, which holds `driver.LedgerWriter.write`): nothing in the package
 exists only for the tests.  An export stays if the CLI path or the
 benchmark uses it, or if it states a result of the paper
-(`classify_good_times`, `mass_closed_form`).
+(`classify_good_times`, `mass_closed_form`).  A field of a top-level
+dataclass must be read as an attribute by some chdf module or by the
+tracer, or its class must be passed by name to `dataclasses.fields` in the
+package (as `LedgerRow` and `ModelParams` are); a field that is only set
+is unused.
 
-Methods are matched by name, so a method that shares its name with one the
-package calls on another type is not seen.  `copy`, which numpy arrays have,
-is such a name: the guard cannot tell an unused `ScalarField.copy` or
-`VectorField.copy`, so those classes define no `copy`.
+Methods and fields are matched by name, so one that shares its name with
+an attribute the package reads on another type is not seen.  `copy`, which
+numpy arrays have, is such a name: the guard cannot tell an unused
+`ScalarField.copy` or `VectorField.copy`, so those classes define no
+`copy`.
 """
 
 import ast
@@ -127,6 +132,42 @@ def test_detector_finds_an_unused_method():
     assert unused_definitions(sources, {("a.C", "write")}) == ["a.C.area"]
 
 
+def _dataclass_fields(node) -> list[tuple[str, str]]:
+    """(class, field) of each annotated field of a top-level dataclass."""
+    if not (isinstance(node, ast.ClassDef) and any(
+            "dataclass" in _names(d) for d in node.decorator_list)):
+        return []
+    return [(node.name, item.target.id) for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def unused_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Dataclass fields of sources, as "module.Class.field", that no module
+    of sources or readers reads as an attribute and whose class no module
+    of sources passes by name to `fields`."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = {n.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    listed = {n.args[0].id for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and "fields" in _names(n.func)
+              and n.args and isinstance(n.args[0], ast.Name)}
+    return [f"{mod}.{cls}.{name}" for mod, tree in trees.items() for node in tree.body
+            for cls, name in _dataclass_fields(node)
+            if name not in read and cls not in listed]
+
+
+def test_detector_finds_an_unused_field():
+    sources = {"a": ("from dataclasses import dataclass, fields\n\n@dataclass\n"
+                     "class R:\n    kept: int\n    set_only: int\n    traced: int = 0\n\n"
+                     "@dataclass(frozen=True)\nclass Row:\n    listed: float\n\n"
+                     "class Plain:\n    note: str\n\n"
+                     "def f(r):\n    r.set_only = r.kept\n    return fields(Row)\n"),
+               "b": "from .a import R\n\ndef g(unused: int):\n    return R(unused, 0)\n"}
+    assert unused_fields(sources, []) == ["a.R.set_only", "a.R.traced"]
+    assert unused_fields(sources, ["def h(r):\n    return r.traced\n"]) == ["a.R.set_only"]
+
+
 def test_every_definition_is_used_by_the_package():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
@@ -135,4 +176,5 @@ def test_every_definition_is_used_by_the_package():
     exported = {(node.module, alias.name) for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert unused_definitions(sources, exported | set(tracing.TARGETS)) == []
+    assert (unused_definitions(sources, exported | set(tracing.TARGETS))
+            + unused_fields(sources, [TRACING.read_text(encoding="utf-8")])) == []

@@ -217,11 +217,19 @@ def test_newton_cap_admits_the_final_update(grid, monkeypatch):
     # one less still allows every update the solve needs.
     params = ModelParams(alpha=1.0, w=1.0, theta_c=2.0, sigma2=0.1)
     state = _stripe_state(grid)
+    counts = []
+    velocity = step.velocity_solve
+
+    def counted_velocity(*args, **kwargs):
+        out = velocity(*args, **kwargs)
+        counts.append(out[2].outer_iterations)
+        return out
+
+    monkeypatch.setattr(step, "velocity_solve", counted_velocity)
     nxt, _, report = coupled_time_step(state, 1e-3, params)
     # The cap is shared by all three solves of the step.
     monkeypatch.setattr(gridops, "MAX_NEWTON", max(
-        report.newton_iterations_phi, report.newton_iterations_psi,
-        report.velocity_iterations) - 1)
+        report.newton_iterations_phi, report.newton_iterations_psi, *counts) - 1)
     nxt2, _, report2 = coupled_time_step(state, 1e-3, params)
     assert np.array_equal(nxt2.phi.data, nxt.phi.data)
     assert np.array_equal(nxt2.psi.data, nxt.psi.data)
@@ -283,7 +291,6 @@ def test_picard_iterations_start_from_the_previous_iterate(monkeypatch):
         assert starts["velocity"][k] is ends["velocity"][k - 1]
         for key in keys[1:]:
             assert np.array_equal(starts[key][k], ends[key][k - 1]), (key, k)
-    assert report.velocity_iterations == max(counts["velocity"])
     assert report.newton_iterations_psi == max(counts["psi Newton"])
     assert report.newton_iterations_phi == max(counts["phi Newton"])
 
@@ -391,7 +398,10 @@ def test_inexact_picard_accepts_no_unsolved_velocity(monkeypatch):
             m.setattr(darcy, "VELOCITY_TOL", max(tol, loose_tol))
             u, pi, report = velocity(u_prev, force, h, params, start=start)
         scale = 1.0 + np.max(np.hypot(force.x, force.y))   # alpha = 0
-        met = bool(report.final_momentum_residual <= tol * scale)
+        drag = params.nu_const + params.eta_const * np.hypot(u.x, u.y) ** (params.r - 2)
+        gp = gridops.gradient(pi)
+        res = np.hypot(drag * u.x + gp.x - force.x, drag * u.y + gp.y - force.y)
+        met = bool(np.max(res) <= tol * scale)
         return u, pi, replace(report, met_tol=met)
 
     exact, _ = _band_step(monkeypatch, 0.0)
