@@ -16,8 +16,8 @@ import numpy as np
 from . import grid as gridops
 from . import model as mdl
 from .darcy import dissipation_integrands
-from .errors import ValidationError
-from .grid import ScalarField
+from .errors import ChdfError, ValidationError
+from .grid import Grid2D, ScalarField, resample
 from .model import ModelParams
 from .step import ChemicalPotentials, State, _krylov_solve, bounded_newton
 
@@ -150,6 +150,20 @@ def mass_closed_form(t: float, params: ModelParams, phi_bar_0: float) -> float:
 STATIONARY_TOL = 1e-10
 STATIONARY_MAX_NEWTON = 60
 
+# Largest max-norm change of the seed, restricted to a coarser grid and
+# prolonged back, at which stationary_solve still solves on that grid first.
+COARSE_SEED_TOL = 1e-2
+
+
+def _inside(x: np.ndarray, boxes, means) -> np.ndarray:
+    """x clipped 1e-6 of each box width inside its box, then shifted to its mean."""
+    out = np.empty_like(x)
+    for i, ((lo, hi), m) in enumerate(zip(boxes, means)):
+        margin = 1e-6 * (hi - lo)
+        out[i] = np.clip(x[i], lo + margin, hi - margin)
+        out[i] += m - out[i].mean()
+    return out
+
 
 def stationary_solve(
     phi_mass: float,
@@ -168,6 +182,19 @@ def stationary_solve(
     The constant chemical potentials mu_inf are the Lagrange multipliers of
     the mean constraints: the means of p at the solution, which the solve
     returns.
+
+    The solve is nested iteration (Newton's mesh independence: Allgower,
+    Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23 (1986) 160), one
+    loop over grid levels, coarsest first.  Each level halves nx and ny of
+    the next finer one while both stay >= 8 and the seed, restricted to it
+    and prolonged back (`grid.resample`), moves by at most COARSE_SEED_TOL
+    in max-norm: the coarse grids are used only while they resolve the
+    seed.  A level starts from the previous level's solution prolonged, or
+    from the seed restricted, clipped strictly inside the box with the
+    means re-imposed.  A coarse level that raises a ChdfError is dropped.
+    The fine grid starts from the shifted seed itself when no coarser level
+    solved, which is the direct solve; if it fails from a prolonged start,
+    it is solved again that way.
     """
     if not -1.0 < phi_mass < 1.0:
         raise ValidationError("phi_mass must lie in the open interval (-1, 1)")
@@ -184,20 +211,42 @@ def stationary_solve(
         g_pp = -params.theta_c + 2.0 * params.w * psi
         g_pq = 2.0 * params.w * phi
         p = np.stack([fp + gphi, fq + gpsi])
-        # Built after p: on steady-128 a build before p slowed the solve's
-        # Krylov iterations by 10-20 %.
         C = np.array([[fpp + g_pp, g_pq], [g_pq, fqq]])
         return p, C
 
+    boxes, means = [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass]
     x0 = np.stack([phi_seed.data + (phi_mass - phi_seed.data.mean()),
                    psi_seed.data + (psi_mass - psi_seed.data.mean())])
-    # The linear solve goes through this module's _krylov_solve so that one
-    # call here is one Newton update for anything that wraps that name.
-    (phi, psi), _, (mu_phi_inf, mu_psi_inf), _ = bounded_newton(
-        x0, pointwise, mdl.quadratic_symbol(grid, params), 0.0,
-        [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass],
-        STATIONARY_TOL, STATIONARY_MAX_NEWTON, krylov=_krylov_solve,
-        label="stationary solve")
+    levels = [grid]
+    while min(levels[-1].nx, levels[-1].ny) >= 16:
+        coarse = Grid2D(levels[-1].nx // 2, levels[-1].ny // 2, grid.Lx, grid.Ly)
+        back = resample(resample(x0, coarse.ny, coarse.nx), grid.ny, grid.nx)
+        if np.max(np.abs(back - x0)) > COARSE_SEED_TOL:
+            break
+        levels.append(coarse)
+
+    def solve(level, start):
+        if start is not x0 or level is not grid:
+            start = _inside(resample(start, level.ny, level.nx), boxes, means)
+        # The linear solve goes through this module's _krylov_solve so that
+        # one call here is one Newton update for anything that wraps that name.
+        x, _, mu, _ = bounded_newton(
+            start, pointwise, mdl.quadratic_symbol(level, params), 0.0, boxes, means,
+            STATIONARY_TOL, STATIONARY_MAX_NEWTON, krylov=_krylov_solve,
+            label="stationary solve")
+        return x, mu
+
+    x = x0
+    for level in reversed(levels):
+        try:
+            x, (mu_phi_inf, mu_psi_inf) = solve(level, x)
+        except ChdfError:
+            if level is not grid:
+                continue
+            if x is x0:
+                raise
+            x, (mu_phi_inf, mu_psi_inf) = solve(grid, x0)
+    phi, psi = x
     return EquilibriumSolution(
         phi_inf=ScalarField(grid, phi),
         psi_inf=ScalarField(grid, psi),

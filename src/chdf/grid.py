@@ -164,6 +164,24 @@ def cs_inv(c: np.ndarray) -> np.ndarray:
     return idst(idct(c, 2, axis=-1), 2, axis=-2)
 
 
+def resample(f: np.ndarray, ny: int, nx: int) -> np.ndarray:
+    """The fields f (..., my, mx) at ny x nx cells of the same rectangle.
+
+    Their orthonormal cosine coefficients are truncated or zero-padded and
+    scaled by sqrt(ny nx / (my mx)), so every mode both grids hold keeps its
+    amplitude, the mean included: prolonging is exact, and so is
+    restricting a field that the coarser grid resolves.  At its own shape f
+    is returned itself.
+    """
+    my, mx = f.shape[-2:]
+    if (my, mx) == (ny, nx):
+        return f
+    c = cc_fwd(f, norm="ortho")
+    out = np.zeros(f.shape[:-2] + (ny, nx))
+    out[..., :min(my, ny), :min(mx, nx)] = c[..., :ny, :nx]
+    return cc_inv(out * np.sqrt(ny * nx / (my * mx)), norm="ortho")
+
+
 # ---------------------------------------------------------------------------
 # Operator symbols on raw (..., ny, nx) arrays
 # ---------------------------------------------------------------------------

@@ -238,8 +238,13 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
         def matvec(c):
             # CG's directions combine preconditioned residuals, whose (0, 0)
             # coefficient prec zeroes: they are zero-mean fields.  Zeroing
-            # that coefficient of the output is P0.
-            out = cc_fwd(np.sum(C * cc_inv(c, norm="ortho")[None], axis=1), norm="ortho")
+            # that coefficient of the output is P0.  C v is summed over j in
+            # place, without a (k, k, ny, nx) product.
+            v = cc_inv(c, norm="ortho")
+            cv = C[:, 0] * v[0]
+            for j in range(1, len(v)):
+                cv += C[:, j] * v[j]
+            out = cc_fwd(cv, norm="ortho")
             out[:, 0, 0] = 0.0
             return symbol * c + out
 

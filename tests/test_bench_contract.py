@@ -59,27 +59,33 @@ def test_tracer_notes_read_the_reports():
 
 
 def test_stationary_solve_calls_krylov_once_per_update(monkeypatch):
-    calls = {"krylov": 0, "damped": 0}
+    # Counted per grid level (the last axis of the arrays), since the
+    # stationary solve is nested over levels.
+    calls = {"krylov": [], "damped": []}
     krylov, damped = diag._krylov_solve, step._damped_update
 
     def counted_krylov(*args, **kwargs):
-        calls["krylov"] += 1
+        calls["krylov"].append(args[2].shape[-1])
         return krylov(*args, **kwargs)
 
     def counted_damped(*args, **kwargs):
-        calls["damped"] += 1
+        calls["damped"].append(args[0].shape[-1])
         return damped(*args, **kwargs)
 
     monkeypatch.setattr(diag, "_krylov_solve", counted_krylov)
     monkeypatch.setattr(step, "_damped_update", counted_damped)
-    grid = Grid2D(16, 16, 1.0, 1.0)
+    grid = Grid2D(32, 32, 1.0, 1.0)
     X, Y = grid.cell_centers()
-    pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)
-    seed = (ScalarField(grid, 0.1 + pert), ScalarField(grid, 0.5 - pert))
-    diag.stationary_solve(0.1, 0.5, seed, ModelParams(w=1.0, theta_c=1.0))
-    # One damped update per field (phi, psi) per Newton update.
-    assert calls["krylov"] >= 1
-    assert calls["damped"] == 2 * calls["krylov"]
+    # A resolved seed (updates at 8^2) and a sharp one (updates at 32^2).
+    for phi, first in ((0.1 + 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y), 8),
+                       (0.1 + 0.3 * np.sign(X - 0.5), 32)):
+        seed = (ScalarField(grid, phi), ScalarField(grid, 0.5 + 0.2 * (phi - 0.1)))
+        del calls["krylov"][:], calls["damped"][:]
+        diag.stationary_solve(0.1, 0.5, seed, ModelParams(w=1.0, theta_c=1.0))
+        assert calls["krylov"][0] == first
+        # One damped update per field (phi, psi) per Newton update.
+        for n in set(calls["krylov"] + calls["damped"]):
+            assert calls["damped"].count(n) == 2 * calls["krylov"].count(n)
 
 
 def test_tracer_krylov_sees_darcy_ch_and_stationary_solves(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chdf import diagnostics as diag
 from chdf import model as mdl
-from chdf.errors import ValidationError
+from chdf.errors import NewtonDivergence, ValidationError
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
 from chdf.step import ChemicalPotentials, State, coupled_time_step
@@ -157,6 +157,110 @@ def test_stationary_rejects_infeasible_masses(grid):
         diag.stationary_solve(1.0, 0.5, seed, ModelParams())
     with pytest.raises(ValidationError):
         diag.stationary_solve(0.0, 0.0, seed, ModelParams())
+
+
+# The steady-128 benchmark's model, and seeds at its cell size 1/8 (64^2 on
+# an 8 x 8 domain) or at coarsen-64's 1/4 (32^2 on 8 x 8).
+BENCH_MODEL = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
+
+
+def _band_noise(n, length, rng):
+    """Zero-mean cos modes k, l <= length/2 (wavelengths >= 4), max |n| = 1."""
+    x = (np.arange(n) + 0.5) * length / n
+    basis = np.cos(np.pi * np.arange(int(length) // 2 + 1)[:, None] * x[None, :] / length)
+    coeff = rng.standard_normal((len(basis), len(basis)))
+    coeff[0, 0] = 0.0
+    f = basis.T @ coeff @ basis
+    f -= f.mean()
+    return f / np.max(np.abs(f))
+
+
+def _seed(grid, lamellae):
+    """steady-128's lamellae with 2 % noise, or coarsen-64's band noise."""
+    rng = np.random.default_rng(0)
+    n, length = grid.nx, grid.Lx
+    x = (np.arange(n) + 0.5) * length / n
+    base = np.tile(np.cos(2.0 * np.pi * x / 8.0), (n, 1)) if lamellae else 0.0
+    eps = 0.02 if lamellae else 1.0
+    n1, n2 = (base + eps * _band_noise(n, length, rng) for _ in range(2))
+    phi = 0.9 * np.tanh(3.0 * n1 / np.max(np.abs(n1)))
+    psi = 0.5 + 0.2 * n2 / np.max(np.abs(n2))
+    return ScalarField(grid, phi - phi.mean()), ScalarField(grid, psi)
+
+
+def _solve_seen(monkeypatch, seed):
+    """The stationary solve of a seed, and the level of each Newton update."""
+    levels = []
+    krylov = diag._krylov_solve
+
+    def spied(matvec, precond, rhs, rtol):
+        levels.append(rhs.shape[-1])
+        return krylov(matvec, precond, rhs, rtol)
+
+    monkeypatch.setattr(diag, "_krylov_solve", spied)
+    sol = diag.stationary_solve(float(seed[0].data.mean()), float(seed[1].data.mean()),
+                                seed, BENCH_MODEL)
+    return sol, levels
+
+
+def _direct(monkeypatch, seed):
+    with monkeypatch.context() as m:
+        m.setattr(diag, "COARSE_SEED_TOL", -1.0)
+        return _solve_seen(m, seed)
+
+
+def _assert_same_bits(a, b):
+    assert np.array_equal(a.phi_inf.data, b.phi_inf.data)
+    assert np.array_equal(a.psi_inf.data, b.psi_inf.data)
+    assert (a.mu_phi_inf, a.mu_psi_inf) == (b.mu_phi_inf, b.mu_psi_inf)
+
+
+def test_resolved_seed_is_solved_coarse_to_fine_to_the_direct_root(monkeypatch):
+    # Restricted to 32^2 the lamellae move by about 3e-4, to 16^2 by about
+    # 2e-2: the solve takes the 32^2 level only, then the 64^2 grid.
+    seed = _seed(Grid2D(64, 64, 8.0, 8.0), lamellae=True)
+    direct, direct_levels = _direct(monkeypatch, seed)
+    assert set(direct_levels) == {64}
+    nested, levels = _solve_seen(monkeypatch, seed)
+    assert levels[0] == 32 and levels[-1] == 64
+    assert levels == sorted(levels) and len(levels) > levels.count(32) >= 2
+    for a, b in ((nested.phi_inf, direct.phi_inf), (nested.psi_inf, direct.psi_inf)):
+        assert np.max(np.abs(a.data - b.data)) <= 1e-8
+    assert abs(nested.mu_phi_inf - direct.mu_phi_inf) <= 1e-10
+    assert abs(nested.mu_psi_inf - direct.mu_psi_inf) <= 1e-10
+    for sol, mean in ((nested.phi_inf, seed[0]), (nested.psi_inf, seed[1])):
+        assert sol.data.mean() == pytest.approx(mean.data.mean(), abs=1e-14)
+
+
+def test_unresolved_seed_is_solved_directly(monkeypatch):
+    # Band noise at coarsen-64's cell size moves by more than 1e-2 when
+    # restricted to 16^2: only the fine grid is solved, bit for bit as the
+    # direct solve.
+    seed = _seed(Grid2D(32, 32, 8.0, 8.0), lamellae=False)
+    sol, levels = _solve_seen(monkeypatch, seed)
+    assert len(levels) >= 2 and set(levels) == {32}
+    _assert_same_bits(sol, _direct(monkeypatch, seed)[0])
+
+
+@pytest.mark.parametrize("failing", ["coarse level", "prolonged fine start"])
+def test_failed_level_falls_back_to_the_direct_solve(monkeypatch, failing):
+    # A coarse level that raises is dropped, and a fine grid that fails
+    # from the prolonged start is solved again from the seed: either way
+    # the result is the direct solve's, bit for bit.
+    seed = _seed(Grid2D(64, 64, 8.0, 8.0), lamellae=True)
+    direct = _direct(monkeypatch, seed)[0]
+    newton, starts = diag.bounded_newton, []
+
+    def failing_newton(x, *args, **kwargs):
+        starts.append(x.shape[-1])
+        if x.shape[-1] == (32 if failing == "coarse level" else 64) and starts.count(64) < 2:
+            raise NewtonDivergence("injected")
+        return newton(x, *args, **kwargs)
+
+    monkeypatch.setattr(diag, "bounded_newton", failing_newton)
+    sol = _solve_seen(monkeypatch, seed)[0]
+    assert starts == ([32, 64] if failing == "coarse level" else [32, 64, 64])
+    _assert_same_bits(sol, direct)
 
 
 # ---------------------------------------------------------------------------

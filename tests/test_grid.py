@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chdf import grid as gridops
 from chdf.errors import MeanNotZero, NewtonDivergence
 from chdf.grid import (Grid2D, ScalarField, VectorField, cc_fwd, cc_inv,
-                       cs_fwd, cs_inv, pcg, sc_fwd, sc_inv)
+                       cs_fwd, cs_inv, pcg, resample, sc_fwd, sc_inv)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +57,44 @@ def test_transforms_act_on_stacks_fieldwise(grid):
         out = transform(stack)
         for i in range(2):
             assert np.array_equal(out[i], transform(stack[i])), transform.__name__
+
+
+def _cosine_modes(grid, modes, seed):
+    """A stack of two random fields made of cos modes k, l < modes."""
+    rng = np.random.default_rng(seed)
+    X, Y = grid.cell_centers()
+    out = np.zeros((2, grid.ny, grid.nx))
+    for i in range(2):
+        for k in range(modes):
+            for l in range(modes):
+                out[i] += rng.standard_normal() * (np.cos(k * np.pi * X / grid.Lx)
+                                                   * np.cos(l * np.pi * Y / grid.Ly))
+    return out
+
+
+def test_resample_is_exact_on_resolved_fields(grid):
+    # Restricting a field the coarse grid resolves and prolonging it back
+    # gives it again, and each grid samples the same modes.
+    coarse = Grid2D(grid.nx // 4, grid.ny // 2, grid.Lx, grid.Ly)
+    f = _cosine_modes(grid, 8, 5)
+    down = resample(f, coarse.ny, coarse.nx)
+    assert down.shape == (2, coarse.ny, coarse.nx)
+    assert np.max(np.abs(down - _cosine_modes(coarse, 8, 5))) < 1e-12
+    assert np.max(np.abs(resample(down, grid.ny, grid.nx) - f)) < 1e-12
+    assert np.max(np.abs(down.mean(axis=(-2, -1)) - f.mean(axis=(-2, -1)))) < 1e-14
+
+
+def test_resample_keeps_the_mean_and_the_kept_modes(grid):
+    # An unresolved field loses only the modes the coarse grid lacks: the
+    # restriction of its prolongation is the restriction itself.
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((grid.ny, grid.nx))
+    down = resample(f, grid.ny // 2, grid.nx // 2)
+    assert abs(down.mean() - f.mean()) < 1e-14
+    up = resample(down, grid.ny, grid.nx)
+    assert abs(up.mean() - f.mean()) < 1e-14
+    assert np.max(np.abs(resample(up, grid.ny // 2, grid.nx // 2) - down)) < 1e-12
+    assert resample(f, grid.ny, grid.nx) is f
 
 
 def test_mean_of_constant(grid):
