@@ -84,14 +84,20 @@ class Grid2D:
 
 @dataclass
 class ScalarField:
-    """Collocated scalar samples at cell centers."""
+    """Collocated scalar samples at cell centers.
+
+    data has shape (ny, nx), or (k, ny, nx) for a stack of k fields, on which
+    `gradient` acts field by field in one transform sequence; the reductions
+    (mean and the norms) take a single field.
+    """
 
     grid: Grid2D
     data: np.ndarray
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.data.shape != (self.grid.ny, self.grid.nx):
+        if self.data.ndim not in (2, 3) or self.data.shape[-2:] != (self.grid.ny,
+                                                                   self.grid.nx):
             raise ValueError(
                 f"field shape {self.data.shape} != grid ({self.grid.ny}, {self.grid.nx})"
             )
@@ -103,7 +109,8 @@ class ScalarField:
 
 @dataclass
 class VectorField:
-    """Collocated vector samples at cell centers (x and y components)."""
+    """Collocated vector samples at cell centers (x and y components), each
+    (ny, nx) or, as the gradient of a stack, (k, ny, nx)."""
 
     grid: Grid2D
     x: np.ndarray
@@ -113,7 +120,8 @@ class VectorField:
         self.x = np.ascontiguousarray(self.x, dtype=np.float64)
         self.y = np.ascontiguousarray(self.y, dtype=np.float64)
         shape = (self.grid.ny, self.grid.nx)
-        if self.x.shape != shape or self.y.shape != shape:
+        if (self.x.shape != self.y.shape or self.x.ndim not in (2, 3)
+                or self.x.shape[-2:] != shape):
             raise ValueError("vector components must match the grid shape")
 
     @classmethod
@@ -225,7 +233,8 @@ def mean(f: ScalarField) -> float:
 
 
 def gradient(f: ScalarField) -> VectorField:
-    """Spectral gradient, collocated at cell centers."""
+    """Spectral gradient, collocated at cell centers; of each field of a
+    stack, bit for bit as one at a time, in one cc_fwd, sc_inv and cs_inv."""
     gx, gy = _grad_coeffs(f.grid, cc_fwd(f.data))
     return VectorField(f.grid, sc_inv(gx), cs_inv(gy))
 

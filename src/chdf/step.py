@@ -21,13 +21,24 @@ iteration on, the velocity, psi and phi solves start from the previous
 iterate, which already solves the same equations with the same mean
 targets up to the Picard change, and are inexact: iteration k may stop
 each of them at tau_k = max(its full tolerance, PICARD_FORCING Delta_k-1),
-Delta_k-1 the previous iteration's Picard change (max change of mu_phi_hat,
-mu_psi_hat and, once there are two iterates, of phi and psi), though only
+Delta_k-1 the previous iteration's Picard change (max|G(x) - x| below and,
+once there are two iterates, the max change of phi and psi), though only
 after at least one update when its start misses the full tolerance.  An
 iterate is accepted once Delta_k <= PICARD_TOL and each of the three
 solves of that iteration met its full tolerance (NEWTON_TOL with its
 round-off floor, `darcy.VELOCITY_TOL`): Delta leaves out u, so without the
 second condition a loose velocity solve could end the loop unsolved.
+The loop maps the potentials x = (mu_phi_hat, mu_psi_hat) that build the
+force to G(x), the potentials the solves return.  After the acceptance
+test, so that an accepted iterate is the solves' own and a step accepted at
+its second iteration never mixes, the next x is the type-II Anderson
+mixing of depth ANDERSON_DEPTH (`_anderson_mix`) of G and f = G(x) - x over
+the last differences of both: the plain update G(x) when the Gram system is
+singular, its solution not finite, or the fit explains little of f.  What
+no Picard iteration changes is formed once per attempt (`_fixed_terms`):
+the energy symbol, the psi secant and the gradients of phi_prev and
+psi_prev; the force takes both gradients of x in one stacked transform
+sequence (`grid.gradient` of the stack).
 """
 
 from __future__ import annotations
@@ -105,11 +116,6 @@ def _p0(f: np.ndarray) -> np.ndarray:
     return f - f.mean(axis=(-2, -1), keepdims=True)
 
 
-def _convective(u: VectorField, f: ScalarField) -> np.ndarray:
-    g = gridops.gradient(f)
-    return u.x * g.x + u.y * g.y
-
-
 def _damped_update(cur: np.ndarray, delta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Return cur plus the zero-mean delta, projected to keep it strictly inside.
 
@@ -161,6 +167,11 @@ EW_GAMMA = 0.9
 # (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982) 400; Kelley,
 # Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 6).
 PICARD_FORCING = 0.01
+
+# Anderson mixing of the Picard loop (type II; Walker & Ni, SIAM J. Numer.
+# Anal. 49 (2011) 1715): the number of past differences it keeps.  0 is
+# plain Picard.
+ANDERSON_DEPTH = 3
 
 # Multiple of eps max(symbol) max|x|, the round-off in the residual's
 # symbol*x term, below which bounded_newton does not ask max|F| to fall
@@ -270,6 +281,46 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
 # Cahn-Hilliard subsystem (velocity frozen)
 # ---------------------------------------------------------------------------
 
+def _fixed_terms(prev: State, params: ModelParams
+                 ) -> tuple[np.ndarray, np.ndarray, VectorField]:
+    """What every Picard iteration of a step from prev shares: the energy
+    symbol L (`model.quadratic_symbol`), the psi coupling secant (G is
+    linear in psi, so it does not depend on the new psi) and the gradients
+    of the stack (phi_prev, psi_prev) that the transport terms take."""
+    grid = prev.phi.grid
+    phi_prev, psi_prev = prev.phi.data, prev.psi.data
+    return (mdl.quadratic_symbol(grid, params),
+            mdl.secant_g_psi(phi_prev, psi_prev, psi_prev, params.theta_c, params.w),
+            gridops.gradient(ScalarField(grid, np.stack((phi_prev, psi_prev)))))
+
+
+def _feasible_start(x_prev: np.ndarray, target: float, box: tuple[float, float],
+                    label: str) -> np.ndarray:
+    """x_prev shifted to the mean target when that lies strictly inside box.
+
+    Otherwise target + s (x_prev - mean(x_prev)) with the largest s <= 1
+    that keeps a margin from either bound: 1e-3 of the box width, or half
+    the target's distance to the nearer bound if that is less.  The
+    solution lies inside, the potential being singular at the bounds.  A
+    target outside the open box raises StepTooLarge naming the solve.
+    """
+    lo, hi = box
+    x0 = x_prev + (target - x_prev.mean())
+    if x0.min() > lo and x0.max() < hi:
+        return x0
+    if not lo < target < hi:
+        raise StepTooLarge(f"{label}: no start inside ({lo:g}, {hi:g}) "
+                           f"with mean {target:.6g}")
+    margin = min(1e-3 * (hi - lo), 0.5 * (target - lo), 0.5 * (hi - target))
+    dev = x_prev - x_prev.mean()
+    s = 1.0
+    if dev.max() > 0.0:
+        s = min(s, (hi - margin - target) / dev.max())
+    if dev.min() < 0.0:
+        s = min(s, (lo + margin - target) / dev.min())
+    return target + s * dev
+
+
 def ch_subsystem_solve(
     prev: State,
     u: VectorField,
@@ -278,6 +329,7 @@ def ch_subsystem_solve(
     params: ModelParams,
     start: tuple[ScalarField, ScalarField] | None = None,
     loose_tol: float = 0.0,
+    fixed: tuple[np.ndarray, np.ndarray, VectorField] | None = None,
 ) -> tuple[ScalarField, ScalarField, ChemicalPotentials, int, int, bool]:
     """Solve the two order-parameter pairs with the velocity frozen.
 
@@ -297,16 +349,17 @@ def ch_subsystem_solve(
     NEWTON_TOL (with its round-off floor).  The means of phi, psi equal the
     targets exactly, each mu_hat is zero-mean and each mu is mu_hat plus
     the mean of its pointwise term at the solution, as bounded_newton
-    returns it.  The Newton solves start from prev shifted to the targets,
-    or from start = (phi, psi), which must lie strictly inside the bounds
-    with the target means (a previous return value does).
+    returns it.  The Newton solves start from prev shifted to the targets
+    (`_feasible_start`), or from start = (phi, psi), which must lie
+    strictly inside the bounds with the target means (a previous return
+    value does).  fixed is `_fixed_terms(prev, params)`, formed here unless
+    the caller passes the one it keeps for the step.
     """
     grid = prev.phi.grid
-    symbol = mdl.quadratic_symbol(grid, params)
+    symbol, g_psi, grad_prev = _fixed_terms(prev, params) if fixed is None else fixed
     phi_prev, psi_prev = prev.phi.data, prev.psi.data
     th, w = params.theta_c, params.w
-    # G is linear in psi, so the psi secant does not depend on the new psi.
-    g_psi = mdl.secant_g_psi(phi_prev, psi_prev, psi_prev, th, w)
+    transport = u.x * grad_prev.x + u.y * grad_prev.y   # u . grad of (phi, psi)_prev
 
     def psi_kernel(x):
         _, d1, d2 = mdl.f_psi(x, params.theta_psi)
@@ -321,7 +374,7 @@ def ch_subsystem_solve(
     def solve_pair(i, x_prev, source, m, pointwise, box, target, x0, label):
         k_hat = grid.inv_lam * cc_fwd(source - x_prev / h) / m
         if x0 is None:
-            x0 = x_prev + (target - x_prev.mean())
+            x0 = _feasible_start(x_prev, target, box, label)
         (x,), iters, (pbar,), met_tol = bounded_newton(
             x0[None], pointwise, symbol[i:i + 1] + grid.inv_lam / (m * h), k_hat,
             [box], [target], NEWTON_TOL, gridops.MAX_NEWTON, label=label,
@@ -333,10 +386,10 @@ def ch_subsystem_solve(
     reac = params.sigma1 * (gridops.mean(prev.phi) - params.c)
     phi0, psi0 = (None, None) if start is None else (start[0].data, start[1].data)
     psi, mu_psi_hat, it_psi, c_psi, met_psi = solve_pair(
-        1, psi_prev, _convective(u, prev.psi), params.m_psi_const, psi_kernel,
+        1, psi_prev, transport[1], params.m_psi_const, psi_kernel,
         (0.0, 1.0), b, psi0, "psi Newton")
     phi, mu_phi_hat, it_phi, c_phi, met_phi = solve_pair(
-        0, phi_prev, _convective(u, prev.phi) + reac, params.m_phi_const, phi_kernel,
+        0, phi_prev, transport[0] + reac, params.m_phi_const, phi_kernel,
         (-1.0, 1.0), a, phi0, "phi Newton")
     potentials = ChemicalPotentials(
         mu_phi=ScalarField(grid, mu_phi_hat + c_phi),
@@ -348,56 +401,100 @@ def ch_subsystem_solve(
             met_phi and met_psi)
 
 
+def _anderson_mix(g: np.ndarray, f: np.ndarray, df: list, dg: list) -> np.ndarray:
+    """The type-II Anderson update g - dg gamma, gamma minimising
+    |f - df gamma|_2, from the Picard output g, its residual f and the
+    lists df, dg of past differences of residuals and outputs.
+
+    gamma solves the Gram system of df (np.vdot) directly.  If that system
+    is singular or gamma is not finite, the history is cleared and g, the
+    plain Picard update, returned.  g is also returned, the history kept,
+    when the fit leaves more than 0.8 |f|: the history then explains little
+    of f, and the correction, of the size of f, mostly carries the error of
+    the inexact solves (on the L = 16 drop with alpha = 1, whose plain
+    Picard rate is 0.002-0.03, mixing it cost 2 more iterations in 16).
+    """
+    gram = np.array([[np.vdot(a, b) for b in df] for a in df])
+    rhs = np.array([np.vdot(a, f) for a in df])
+    try:
+        gamma = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        gamma = np.full(len(df), np.nan)
+    if not np.all(np.isfinite(gamma)):
+        df.clear()
+        dg.clear()
+        return g
+    # |f - df gamma|^2 = |f|^2 - gamma . rhs at the least-squares gamma.
+    ff = np.vdot(f, f)
+    if ff - gamma @ rhs > 0.8 ** 2 * ff:
+        return g
+    x = g.copy()
+    for c, d in zip(gamma, dg):
+        x -= c * d
+    return x
+
+
 def _attempt_step(prev: State, h: float, params: ModelParams,
                   init_potentials: ChemicalPotentials | None
                   ) -> tuple[State, ChemicalPotentials, StepReport]:
     grid = prev.phi.grid
     targets = mean_targets(prev.phi, prev.psi, h, params)
+    fixed = _fixed_terms(prev, params)
 
+    # x = (mu_phi_hat, mu_psi_hat), the potentials the force is built from.
     if init_potentials is not None:
-        mu_phi_hat = init_potentials.mu_phi_hat.data.copy()
-        mu_psi_hat = init_potentials.mu_psi_hat.data.copy()
+        x = np.stack((init_potentials.mu_phi_hat.data, init_potentials.mu_psi_hat.data))
     else:
-        mu_phi_hat = np.zeros((grid.ny, grid.nx))
-        mu_psi_hat = np.zeros((grid.ny, grid.nx))
+        x = np.zeros((2, grid.ny, grid.nx))
 
     # The previous Picard iterate starts the inner solves once there is one,
     # and the last Picard change loosens their tolerances (inexact Picard).
-    phi = psi = u = change = None
+    # df, dg keep the last ANDERSON_DEPTH differences of f = G(x) - x and of
+    # G, the potentials the solves return.
+    phi = psi = u = change = f_prev = g_prev = None
+    df, dg = [], []
     newton_phi = newton_psi = 0
     for picard_it in range(1, MAX_PICARD + 1):
         loose_tol = 0.0 if change is None else PICARD_FORCING * change
-        gmp = gridops.gradient(ScalarField(grid, mu_phi_hat))
-        gms = gridops.gradient(ScalarField(grid, mu_psi_hat))
+        gm = gridops.gradient(ScalarField(grid, x))
         force = VectorField(
             grid,
-            -(prev.phi.data * gmp.x + prev.psi.data * gms.x),
-            -(prev.phi.data * gmp.y + prev.psi.data * gms.y),
+            -(prev.phi.data * gm.x[0] + prev.psi.data * gm.x[1]),
+            -(prev.phi.data * gm.y[0] + prev.psi.data * gm.y[1]),
         )
         u, _, vel = velocity_solve(prev.u, force, h, params, start=u,
                                    loose_tol=loose_tol)
 
         phi_new, psi_new, potentials, it_phi, it_psi, met_tol = ch_subsystem_solve(
             prev, u, targets, h, params,
-            start=None if phi is None else (phi, psi), loose_tol=loose_tol)
+            start=None if phi is None else (phi, psi), loose_tol=loose_tol,
+            fixed=fixed)
         newton_phi = max(newton_phi, it_phi)
         newton_psi = max(newton_psi, it_psi)
 
-        change = max(
-            float(np.max(np.abs(potentials.mu_phi_hat.data - mu_phi_hat))),
-            float(np.max(np.abs(potentials.mu_psi_hat.data - mu_psi_hat))),
-        )
+        g = np.stack((potentials.mu_phi_hat.data, potentials.mu_psi_hat.data))
+        f = g - x
+        change = float(np.max(np.abs(f)))
         if phi is not None:
             change = max(change,
                          float(np.max(np.abs(phi_new.data - phi.data))),
                          float(np.max(np.abs(psi_new.data - psi.data))))
         phi, psi = phi_new, psi_new
-        mu_phi_hat, mu_psi_hat = potentials.mu_phi_hat.data, potentials.mu_psi_hat.data
         # The change leaves out u, so it can vanish at an iterate that a
         # loose solve left unsolved: accept only one that all three solves
         # met at their full tolerances.
         if change <= PICARD_TOL and vel.met_tol and met_tol:
             break
+        # Mixing follows the test, so the accepted potentials are the
+        # solves' own; the first mixing ends the second iteration.
+        x = g
+        if ANDERSON_DEPTH:
+            if f_prev is not None:
+                df.append(f - f_prev)
+                dg.append(g - g_prev)
+                del df[:-ANDERSON_DEPTH], dg[:-ANDERSON_DEPTH]
+                x = _anderson_mix(g, f, df, dg)
+            f_prev, g_prev = f, g
     else:
         raise PicardStall("velocity/phase coupling did not converge")
 

@@ -580,9 +580,11 @@ width = 0.1
                                       abs=1e-13 * (1.0 + abs(e_prev)))
 
 
-def test_run_names_the_step_of_every_step_error(tmp_path, capsys):
-    # At h = 1 the third step's phi solve starts outside (-1, 1); the
-    # OutOfDomain from inside the step keeps its type and exit status.
+def test_run_names_the_step_of_every_step_error(tmp_path, capsys, monkeypatch):
+    # At h = 1 the third step's phi target lies further from phi_prev's mean
+    # than its room to -1: shifted to the target, the start leaves (-1, 1).
+    # The start is pulled toward the target instead, and the run finishes.
+    # An OutOfDomain from inside a step keeps its type and exit status.
     cfg_path = _write(tmp_path / "far.cfg", """
 [grid]
 nx = 16
@@ -611,6 +613,18 @@ mean_psi = 0.1
 amplitude = 0.5
 width = 2
 """)
+    assert cli.main(["run", cfg_path, "--output-dir", str(tmp_path / "ok")]) == 0
+    assert len(driver.read_ledger(str(tmp_path / "ok" / "ledger.csv"))) == 3
+
+    calls = []
+
+    def failing(prev, h, params, init_potentials=None):
+        calls.append(h)
+        if len(calls) == 3:
+            mdl.f_phi(np.full_like(prev.phi.data, 1.0), params.theta_phi)
+        return step.coupled_time_step(prev, h, params, init_potentials)
+
+    monkeypatch.setattr(driver, "coupled_time_step", failing)
     out = tmp_path / "o"
     assert cli.main(["run", cfg_path, "--output-dir", str(out)]) == cli.EXIT_SOLVER
     assert capsys.readouterr().err == (

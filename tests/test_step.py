@@ -726,3 +726,200 @@ def test_step_report_fields_consistent(grid):
     assert row.mean_phi == pytest.approx(report.mass_target_a, abs=1e-13)
     assert row.max_phi == np.max(nxt.phi.data)
     assert report.picard_iterations >= 1
+
+
+# ---------------------------------------------------------------------------
+# Picard loop: feasible start, Anderson mixing, work fixed within a step
+# ---------------------------------------------------------------------------
+
+def _drop_state(n):
+    """The L = 16 drop: an elliptic phase drop and a cosine surfactant bump."""
+    grid = Grid2D(n, n, 16.0, 16.0)
+    X, Y = grid.cell_centers()
+    rho = np.hypot((X - 8.0) / 5.0, (Y - 8.0) / 3.0)
+    phi = 0.9 * np.tanh(3.0 * (1.0 - rho))
+    psi = 0.5 + 0.2 * np.cos(np.pi * X / 16.0) * np.cos(np.pi * Y / 16.0)
+    return State(VectorField.zero(grid), ScalarField(grid, phi), ScalarField(grid, psi))
+
+
+def _run_steps(state, h, params, n):
+    """n steps as `driver.run` takes them; returns the last step's state and
+    potentials and the Picard iterations of all n."""
+    pots, picard = None, 0
+    for _ in range(n):
+        state, pots, report = coupled_time_step(state, h, params, pots)
+        state.validate()
+        picard += report.picard_iterations
+    return state, pots, picard
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_drop_with_reaction_starts_inside_the_box(alpha):
+    # h sigma1 |phibar - c| exceeds the room between phi_prev and -1 by
+    # step 3, so phi_prev shifted to the new mean target leaves (-1, 1).
+    params = replace(BENCH_MODEL, alpha=alpha, sigma1=0.5, c=0.2)
+    state = _drop_state(32)
+    pots = None
+    for _ in range(4):
+        prev = state
+        state, pots, report = coupled_time_step(prev, 0.1, params, pots)
+        state.validate()
+        assert gridops.mean(state.phi) == pytest.approx(report.mass_target_a, abs=1e-14)
+        assert _ledger_row(prev, (state, pots, report), params).slack > 0.0
+
+
+def test_feasible_start_keeps_the_shifted_start_where_it_fits():
+    x_prev = np.array([[-0.95, 0.5], [0.2, 0.25]])
+    shifted = x_prev + (0.03 - x_prev.mean())
+    assert np.array_equal(step._feasible_start(x_prev, 0.03, (-1.0, 1.0), "phi Newton"),
+                          shifted)
+    # Shifted down by 0.06, the first cell would reach -1.01.
+    x0 = step._feasible_start(x_prev, -0.06, (-1.0, 1.0), "phi Newton")
+    assert x0.min() == pytest.approx(-1.0 + 2e-3, abs=1e-15)
+    assert x0.mean() == pytest.approx(-0.06, abs=1e-15)
+    dev = x_prev - x_prev.mean()
+    s = (x0 - x0.mean()) / dev
+    assert np.allclose(s, s[0, 0]) and 0.0 < s[0, 0] < 1.0
+    # Near a bound the margin shrinks to half the target's room.
+    x0 = step._feasible_start(x_prev - 0.5, -0.999, (-1.0, 1.0), "phi Newton")
+    assert x0.min() == pytest.approx(-0.9995, abs=1e-12) and x0.max() < 1.0
+    with pytest.raises(StepTooLarge, match=r"^phi Newton: no start inside \(-1, 1\)"):
+        step._feasible_start(x_prev, -1.0, (-1.0, 1.0), "phi Newton")
+
+
+def _anderson_cases():
+    for alpha in (0.0, 1.0):
+        yield _drop_state(32), replace(BENCH_MODEL, alpha=alpha), 3
+    yield _band_state(Grid2D(32, 32, 16.0, 16.0)), BENCH_MODEL, 2
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_anderson_mixing_reaches_the_plain_picard_answer_in_fewer_iterations(
+        case, monkeypatch):
+    # With alpha = 1 the drop's plain Picard rate, 0.002-0.03, is already
+    # below what mixing reaches under inexact inner solves: there the
+    # least-squares gate leaves the loop plain, and the count may only tie.
+    state, params, n = list(_anderson_cases())[case]
+    mixed = _run_steps(state, 0.1, params, n)
+    monkeypatch.setattr(step, "ANDERSON_DEPTH", 0)
+    plain = _run_steps(state, 0.1, params, n)
+    (sa, pa, na), (sb, pb, nb) = mixed, plain
+    assert np.sqrt(np.mean(sb.u.x ** 2 + sb.u.y ** 2)) > 1e-3
+    for x, y in ((sa.phi.data, sb.phi.data), (sa.psi.data, sb.psi.data),
+                 (sa.u.x, sb.u.x), (sa.u.y, sb.u.y),
+                 (pa.mu_phi_hat.data, pb.mu_phi_hat.data),
+                 (pa.mu_psi_hat.data, pb.mu_psi_hat.data)):
+        assert np.max(np.abs(x - y)) <= 1e-10
+    assert na < nb if params.alpha == 0.0 else na <= nb
+
+
+def test_anderson_mix_on_an_affine_map():
+    # For an affine contraction G(x) = A x + c in R^2, two differences span
+    # the space: the mixed iterate is the fixed point (Anderson is GMRES on
+    # linear problems; Walker & Ni 2011).  A residual that the history does
+    # not explain leaves the plain update g and keeps the history.
+    A = np.array([[0.3, 0.1], [-0.2, 0.25]])
+    c = np.array([1.0, -2.0])
+    fixed = np.linalg.solve(np.eye(2) - A, c)
+    xs = [np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    gs = [A @ x + c for x in xs]
+    fs = [g - x for g, x in zip(gs, xs)]
+    df = [fs[1] - fs[0], fs[2] - fs[1]]
+    dg = [gs[1] - gs[0], gs[2] - gs[1]]
+    x = step._anderson_mix(gs[2], fs[2], df, dg)
+    assert np.allclose(x, fixed, rtol=0, atol=1e-12)
+    g, f = np.array([1.0, 2.0]), np.array([0.0, 1.0])
+    df, dg = [np.array([1.0, 0.0])], [np.array([5.0, 5.0])]
+    assert step._anderson_mix(g, f, df, dg) is g and len(df) == 1
+
+
+def test_a_step_accepted_at_its_second_iteration_never_mixes(grid, monkeypatch):
+    mixes = []
+    mix = step._anderson_mix
+
+    def spied(*args):
+        mixes.append(args)
+        return mix(*args)
+
+    # The stripe's second step, started from the first step's potentials,
+    # is accepted at its second Picard iteration, as every stripe-64 step.
+    params = ModelParams(alpha=1.0, w=1.0, theta_c=2.0, sigma2=0.1)
+    prev, prev_pots, _ = coupled_time_step(_stripe_state(grid), 1e-3, params)
+    monkeypatch.setattr(step, "_anderson_mix", spied)
+    state, pots, report = coupled_time_step(prev, 1e-3, params, prev_pots)
+    assert report.picard_iterations == 2 and not mixes
+    monkeypatch.setattr(step, "ANDERSON_DEPTH", 0)
+    plain = coupled_time_step(prev, 1e-3, params, prev_pots)
+    for x, y in ((state.phi, plain[0].phi), (state.psi, plain[0].psi),
+                 (pots.mu_phi, plain[1].mu_phi), (pots.mu_psi, plain[1].mu_psi)):
+        assert np.array_equal(x.data, y.data)
+
+
+@pytest.mark.parametrize("singular", ["raise", "nan"])
+def test_a_singular_gram_system_takes_the_plain_update(singular, monkeypatch):
+    # Each mixing meets a singular Gram system (or a gamma that is not
+    # finite), drops its history and takes g: the plain Picard loop, bit
+    # for bit.
+    solves = []
+
+    def broken(a, b):
+        solves.append(len(b))
+        if singular == "raise":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(len(b), np.nan)
+
+    state = _band_state(Grid2D(32, 32, 16.0, 16.0))
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", broken)
+        out = coupled_time_step(state, 0.1, BENCH_MODEL)
+    assert solves and set(solves) == {1}
+    monkeypatch.setattr(step, "ANDERSON_DEPTH", 0)
+    plain = coupled_time_step(state, 0.1, BENCH_MODEL)
+    assert out[2].picard_iterations == plain[2].picard_iterations
+    for x, y in ((out[0].phi, plain[0].phi), (out[0].psi, plain[0].psi),
+                 (out[1].mu_phi_hat, plain[1].mu_phi_hat)):
+        assert np.array_equal(x.data, y.data)
+    assert np.array_equal(out[0].u.x, plain[0].u.x)
+
+
+def test_fixed_gradients_are_taken_once_and_the_force_costs_five_transforms(
+        monkeypatch):
+    # Counted at the scipy transforms grid calls: a gradient of the stack
+    # (mu_phi_hat, mu_psi_hat) is one 2-D cosine transform, then one sine
+    # and one cosine pass per component.
+    transforms = [0]
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            transforms[0] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("dctn", "idctn", "dct", "idct", "dst", "idst"):
+        monkeypatch.setattr(gridops, name, counted(getattr(gridops, name)))
+    inputs, costs = [], []
+    gradient = gridops.gradient
+
+    def spied(f):
+        before = transforms[0]
+        out = gradient(f)
+        inputs.append(f.data.copy())
+        costs.append(transforms[0] - before)
+        return out
+
+    monkeypatch.setattr(gridops, "gradient", spied)
+    built = {"quadratic_symbol": 0, "secant_g_psi": 0}
+    for name in built:
+        def count(*args, _name=name, _fn=getattr(mdl, name)):
+            built[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mdl, name, count)
+
+    state = _band_state(Grid2D(32, 32, 16.0, 16.0))
+    _, _, report = coupled_time_step(state, 0.1, BENCH_MODEL)
+    n = report.picard_iterations
+    assert n >= 3
+    assert len(inputs) == n + 1 and set(costs) == {5}
+    fixed = np.stack((state.phi.data, state.psi.data))
+    assert sum(np.array_equal(x, fixed) for x in inputs) == 1
+    assert built == {"quadratic_symbol": 1, "secant_g_psi": 1}
