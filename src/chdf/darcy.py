@@ -42,19 +42,18 @@ def velocity_solve(
 
     With c1 = a/h + nu, f = force + (a/h) u_prev and P the Helmholtz
     projection, u is the solenoidal field with P((c1 + k) u - f) = 0,
-    k = eta |u|^(r-2), found by `grid.newton_krylov` (at most
-    `grid.MAX_NEWTON` updates) from start (solenoidal, as a returned u is)
-    or else from P(s Pf) with |s Pf| = min(g/c1, (g/eta)^(1/(r-1))),
-    g = |Pf|, which lies in [m*, 2 m*] for the pointwise root m* of
-    c1 m + eta m^(r-1) = g.  Its bound is
-    max|R| <= VELOCITY_TOL (1 + max|f|) for the projected residual R,
-    loose_tol is scaled by the same 1 + max|f|, and report.met_tol says
+    k = eta |u|^(r-2), found by `grid.newton_krylov` from start
+    (solenoidal, as a returned u is) or else from P(s Pf) with
+    |s Pf| = min(g/c1, (g/eta)^(1/(r-1))), g = |Pf|, which lies in
+    [m*, 2 m*] for the pointwise root m* of c1 m + eta m^(r-1) = g.  Its
+    bound is max|R| <= VELOCITY_TOL (1 + max|f|) for the projected residual
+    R, loose_tol is scaled by the same 1 + max|f|, and report.met_tol says
     whether the bound held.  Each correction, added to u whole, is CG
-    (`grid.pcg`) to relative residual 1e-3 on the exact drag Jacobian
-    (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, SPD on solenoidal
-    fields, with the scalar preconditioner 1/(c1 + mean k).  pi is minus
-    the potential part of the final residual, so u has zero normal trace
-    and round-off divergence, and pi has zero mean.
+    (`grid.pcg`), to the relative tolerance the loop sets, on the exact
+    drag Jacobian (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, SPD on
+    solenoidal fields, with the scalar preconditioner 1/(c1 + mean k).  pi
+    is minus the potential part of the final residual, so u has zero normal
+    trace and round-off divergence, and pi has zero mean.
     """
     grid = u_prev.grid
     if h <= 0:
@@ -84,11 +83,13 @@ def velocity_solve(
         nonlocal R, p_hat, mag, k
         mag = np.hypot(u.x, u.y)
         k = eta * mag ** (r - 2)
-        R, p_hat = gridops.solenoidal_part(
+        Rv, p_hat = gridops.solenoidal_part(
             VectorField(grid, (c1 + k) * u.x - fx, (c1 + k) * u.y - fy))
-        return float(np.max(np.hypot(R.x, R.y))), VELOCITY_TOL * scale
+        R = np.stack((Rv.x, Rv.y))
+        return (float(np.max(np.hypot(Rv.x, Rv.y))), VELOCITY_TOL * scale,
+                float(np.linalg.norm(R)))
 
-    def solve(u):
+    def solve(u, rtol):
         inv = 1.0 / np.where(mag > 0, mag, 1.0)
         ex, ey = u.x * inv, u.y * inv
         radial = (r - 2) * k
@@ -102,11 +103,11 @@ def velocity_solve(
 
         # Scalar preconditioner: the mean isotropic drag coefficient.
         cbar = c1 + float(np.mean(k))
-        return pcg(matvec, lambda v: v / cbar, -np.stack((R.x, R.y)), 1e-3)
+        return pcg(matvec, lambda v: v / cbar, -R, rtol)
 
     u, it, met_tol = gridops.newton_krylov(
         u, residual, solve, lambda u, d: VectorField(grid, u.x + d[0], u.y + d[1]),
-        gridops.MAX_NEWTON, "velocity solve", loose_tol * scale)
+        "velocity solve", loose_tol * scale)
     pi = -gridops.cc_inv(p_hat)
     pi -= pi.mean()
     return u, ScalarField(grid, pi), VelocitySolveReport(it, met_tol)

@@ -146,23 +146,12 @@ def mass_closed_form(t: float, params: ModelParams, phi_bar_0: float) -> float:
     return params.c + (phi_bar_0 - params.c) * math.exp(-params.sigma1 * t)
 
 
-# Stopping rule of stationary_solve: max|F| and the cap on Newton updates.
+# Stopping rule of stationary_solve: max|F| (`grid.MAX_NEWTON` caps each level).
 STATIONARY_TOL = 1e-10
-STATIONARY_MAX_NEWTON = 60
 
 # Largest max-norm change of the seed, restricted to a coarser grid and
 # prolonged back, at which stationary_solve still solves on that grid first.
 COARSE_SEED_TOL = 1e-2
-
-
-def _inside(x: np.ndarray, boxes, means) -> np.ndarray:
-    """x clipped 1e-6 of each box width inside its box, then shifted to its mean."""
-    out = np.empty_like(x)
-    for i, ((lo, hi), m) in enumerate(zip(boxes, means)):
-        margin = 1e-6 * (hi - lo)
-        out[i] = np.clip(x[i], lo + margin, hi - margin)
-        out[i] += m - out[i].mean()
-    return out
 
 
 def stationary_solve(
@@ -177,8 +166,7 @@ def stationary_solve(
     L x + p(x) = mu_inf with L the energy operator (`model.quadratic_symbol`)
     and p = (F_phi' + dG/dphi, F_psi' + dG/dpsi) pointwise:
     `bounded_newton` with k_hat = 0, and one kernel that gives p and its
-    Jacobian, run to STATIONARY_TOL in at most STATIONARY_MAX_NEWTON updates,
-    its Krylov solve run to the Eisenstat-Walker tolerance there.
+    Jacobian, run to STATIONARY_TOL in at most `grid.MAX_NEWTON` updates.
     The constant chemical potentials mu_inf are the Lagrange multipliers of
     the mean constraints: the means of p at the solution, which the solve
     returns.
@@ -190,11 +178,11 @@ def stationary_solve(
     and prolonged back (`grid.resample`), moves by at most COARSE_SEED_TOL
     in max-norm: the coarse grids are used only while they resolve the
     seed.  A level starts from the previous level's solution prolonged, or
-    from the seed restricted, clipped strictly inside the box with the
-    means re-imposed.  A coarse level that raises a ChdfError is dropped.
-    The fine grid starts from the shifted seed itself when no coarser level
-    solved, which is the direct solve; if it fails from a prolonged start,
-    it is solved again that way.
+    from the seed restricted, as bounded_newton places it inside the boxes
+    with the means.  A coarse level that raises a ChdfError is dropped.
+    The fine grid starts from the seed itself when no coarser level solved,
+    which is the direct solve; if it fails from a prolonged start, it is
+    solved again that way.
     """
     if not -1.0 < phi_mass < 1.0:
         raise ValidationError("phi_mass must lie in the open interval (-1, 1)")
@@ -215,8 +203,7 @@ def stationary_solve(
         return p, C
 
     boxes, means = [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass]
-    x0 = np.stack([phi_seed.data + (phi_mass - phi_seed.data.mean()),
-                   psi_seed.data + (psi_mass - psi_seed.data.mean())])
+    x0 = np.stack([phi_seed.data, psi_seed.data])
     levels = [grid]
     while min(levels[-1].nx, levels[-1].ny) >= 16:
         coarse = Grid2D(levels[-1].nx // 2, levels[-1].ny // 2, grid.Lx, grid.Ly)
@@ -226,14 +213,12 @@ def stationary_solve(
         levels.append(coarse)
 
     def solve(level, start):
-        if start is not x0 or level is not grid:
-            start = _inside(resample(start, level.ny, level.nx), boxes, means)
         # The linear solve goes through this module's _krylov_solve so that
         # one call here is one Newton update for anything that wraps that name.
         x, _, mu, _ = bounded_newton(
-            start, pointwise, mdl.quadratic_symbol(level, params), 0.0, boxes, means,
-            STATIONARY_TOL, STATIONARY_MAX_NEWTON, krylov=_krylov_solve,
-            label="stationary solve")
+            resample(start, level.ny, level.nx), pointwise,
+            mdl.quadratic_symbol(level, params), 0.0, boxes, means,
+            STATIONARY_TOL, krylov=_krylov_solve, label="stationary solve")
         return x, mu
 
     x = x0

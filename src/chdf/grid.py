@@ -301,9 +301,15 @@ def project_velocity(v: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 # Matvec cap of every CG solve (on the benchmark inputs none takes over 51),
-# and update cap of each Newton solve of a time step (psi, phi, velocity).
+# and update cap of every Newton solve (psi, phi, velocity, stationary level).
 CG_MAXITER = 6000
 MAX_NEWTON = 50
+
+# Eisenstat-Walker forcing of the CG solve of each Newton update (Eisenstat &
+# Walker, SIAM J. Sci. Comput. 17 (1996) 16; Kelley, Iterative Methods for
+# Linear and Nonlinear Equations, SIAM 1995, 6.3).
+ETA_MAX = 0.01
+EW_GAMMA = 0.9
 
 
 def pcg(matvec, precond, b: np.ndarray, rtol: float) -> np.ndarray:
@@ -341,29 +347,37 @@ def pcg(matvec, precond, b: np.ndarray, rtol: float) -> np.ndarray:
     raise NewtonDivergence(f"CG reached its cap of {CG_MAXITER} iterations")
 
 
-def newton_krylov(x, residual, solve, update, max_newton, label, loose_tol):
+def newton_krylov(x, residual, solve, update, label, loose_tol):
     """Inexact Newton-Krylov from x: the one loop of the psi, phi, stationary
     and velocity solves (Kelley, Iterative Methods for Linear and Nonlinear
     Equations, SIAM 1995, ch. 6).
 
-    residual(x) returns (res, bound), the size of F(x) and the size at or
-    below which x counts as solved, and keeps what the linear solve needs.
-    The loop stops once res <= bound or, after at least one update, once
-    res <= loose_tol.  Otherwise x becomes update(x, solve(x)), solve giving
-    the Newton correction at x by CG (`pcg`) to a relative tolerance of its
-    own; a NewtonDivergence it raises is re-raised naming the update and
-    the residual.  More than max_newton updates raise NewtonDivergence.
+    residual(x) returns (res, bound, fnorm): the size of F(x), the size at
+    or below which x counts as solved, and the 2-norm of F(x); it keeps what
+    the linear solve needs.  The loop stops once res <= bound or, after at
+    least one update, once res <= loose_tol.  Otherwise x becomes
+    update(x, solve(x, eta)), solve giving the Newton correction at x by CG
+    (`pcg`) to the relative tolerance eta: eta_0 = ETA_MAX and
+    eta_k = min(ETA_MAX, max(EW_GAMMA (fnorm_k / fnorm_k-1)^2,
+    0.5 bound / fnorm_k)), loose while Newton converges slowly, tight once
+    it converges fast, and no tighter than the bound needs.  A
+    NewtonDivergence that solve raises is re-raised naming the update and
+    the residual, and more than MAX_NEWTON updates raise NewtonDivergence.
     Returns (x, residual evaluations, whether the last res <= bound).
     """
-    for it in range(1, max_newton + 2):
-        res, bound = residual(x)
+    fnorm_prev = None
+    for it in range(1, MAX_NEWTON + 2):
+        res, bound, fnorm = residual(x)
         if res <= bound or (it > 1 and res <= loose_tol):
             return x, it, res <= bound
-        if it > max_newton:
+        if it > MAX_NEWTON:
             raise NewtonDivergence(f"{label} did not converge: residual "
-                                   f"{res:.3e} after {max_newton} updates")
+                                   f"{res:.3e} after {MAX_NEWTON} updates")
+        eta = ETA_MAX if fnorm_prev is None else min(
+            ETA_MAX, max(EW_GAMMA * (fnorm / fnorm_prev) ** 2, 0.5 * bound / fnorm))
+        fnorm_prev = fnorm
         try:
-            correction = solve(x)
+            correction = solve(x, eta)
         except NewtonDivergence as exc:
             raise NewtonDivergence(f"{label} update {it}: {exc}; residual {res:.3e}") from exc
         x = update(x, correction)

@@ -13,8 +13,10 @@ mobility m.  `bounded_newton` forms that residual from one pointwise kernel
 call per evaluation (the pointwise term and its Jacobian, as arrays) and
 solves it by projected Newton in `grid.newton_krylov`, the loop the velocity
 solve shares, each correction by CG (`grid.pcg`) on its cosine coefficients,
-down to the tolerance or the operator's round-off floor, whichever is
-larger; it returns the mean with the solution.
+down to the tolerance or the residual's round-off floor, whichever is
+larger; it places any start inside the box with the mean target
+(`_feasible_start`) and returns the mean of the pointwise term with the
+solution.
 A Picard loop closes the velocity coupling: the velocity comes from
 `darcy.velocity_solve`, solenoidal as returned.  From the second Picard
 iteration on, the velocity, psi and phi solves start from the previous
@@ -151,16 +153,10 @@ def _damped_update(cur: np.ndarray, delta: np.ndarray, lo: float, hi: float) -> 
 
 # Stopping rules of each step: max|F| of the psi and phi Newton solves, the
 # Picard change that ends the loop and the cap on Picard iterations (the
-# velocity's is `darcy.VELOCITY_TOL`; `grid.MAX_NEWTON` caps all three solves).
+# velocity's is `darcy.VELOCITY_TOL`; `grid.MAX_NEWTON` caps every solve).
 NEWTON_TOL = 1e-11
 PICARD_TOL = 1e-11
 MAX_PICARD = 100
-
-# Eisenstat-Walker forcing for the inner linear solves of bounded_newton
-# (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996) 16; Kelley,
-# Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, 6.3).
-ETA_MAX = 0.01
-EW_GAMMA = 0.9
 
 # Inexact Picard: from the second Picard iteration on, each inner solve of
 # `_attempt_step` may stop at PICARD_FORCING times the last Picard change
@@ -173,8 +169,9 @@ PICARD_FORCING = 0.01
 # plain Picard.
 ANDERSON_DEPTH = 3
 
-# Multiple of eps max(symbol) max|x|, the round-off in the residual's
-# symbol*x term, below which bounded_newton does not ask max|F| to fall
+# Multiple of eps (max(symbol) max|x| + max_cells sum_j |C_ij| |x_j|), the
+# round-off in the residual's symbol*x term plus that of the pointwise term
+# under one ulp of x, below which bounded_newton does not ask max|F| to fall
 # (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
 # ch. 5).  A factor of 1 still leaves some L = 1 solves updating at
 # round-off until their Newton cap.
@@ -187,12 +184,13 @@ def _krylov_solve(matvec, precond, rhs: np.ndarray, rtol: float) -> np.ndarray:
     return pcg(matvec, precond, rhs, rtol)
 
 
-def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
+def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol,
                    krylov=_krylov_solve, label="Newton", loose_tol=0.0):
     """Projected Newton-Krylov for k stacked fields with box bounds and fixed means.
 
-    x has shape (k, ny, nx) and each field x[i] stays strictly inside
-    boxes[i] = (lo, hi) with mean means[i].  The equations are
+    x has shape (k, ny, nx); each field x[i] starts where
+    `_feasible_start(x[i], means[i], boxes[i], label)` places it and stays
+    strictly inside boxes[i] = (lo, hi) with mean means[i].  The equations are
 
         F(x) = cc_inv(symbol cc_fwd(x) + k_hat) + P0 p = 0,
 
@@ -206,42 +204,40 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
 
         (J v)_i = symbol[i] v_i  +  P0( sum_j C_ij v_j ).
 
-    The loop is `grid.newton_krylov`, with at most max_newton updates,
+    The loop is `grid.newton_krylov`, which sets each CG tolerance, with
     loose_tol and the bound max|F| <= max(tol, ROUNDOFF_FACTOR eps
-    max(symbol) max|x|), whose second term is the round-off of symbol*x.
-    Each correction is solved by krylov (CG, `grid.pcg`) on its orthonormal
-    cosine coefficients c, where J is symbol*c + P0 cc_fwd(C cc_inv(c)) (two
-    transforms), symmetric since each C(x) is and indefinite near a
-    constrained saddle point (the stationary lamellae), under the diagonal
-    preconditioner 1/(symbol[i] + mean(C_ii)), zero on the constant mode.
-    Update k's relative CG tolerance (Eisenstat-Walker) is eta_0 = ETA_MAX and
-    eta_k = min(ETA_MAX, max(EW_GAMMA (|F_k| / |F_k-1|)^2, 0.5 tol / |F_k|)),
-    |F| the 2-norm of the residual field: loose while Newton converges
-    slowly, tight once it converges fast, and no tighter than the bound
-    needs.  Each update is the zero-mean correction projected onto box
-    intersected with fixed mean (`_damped_update`), after which the mean is
-    re-imposed against round-off.  Returns (x, residual evaluations, the
-    mean of each field of p at x, whether max|F(x)| met the bound).
+    (max(symbol) max|x| + max_cells sum_j |C_ij| |x_j|)), the round-off of
+    symbol*x and of p under one ulp of x.  Each correction is solved by
+    krylov (CG, `grid.pcg`) on its orthonormal cosine coefficients c, where
+    J is symbol*c + P0 cc_fwd(C cc_inv(c)) (two transforms), symmetric
+    since each C(x) is and indefinite near a constrained saddle point (the
+    stationary lamellae), under the diagonal preconditioner
+    1/(symbol[i] + mean(C_ii)), zero on the constant mode.  Each update is
+    the zero-mean correction projected onto box intersected with fixed mean
+    (`_damped_update`), after which the mean is re-imposed against
+    round-off.  Returns (x, residual evaluations, the mean of each field of
+    p at x, whether max|F(x)| met the bound).
     """
-    floor = ROUNDOFF_FACTOR * np.finfo(float).eps * float(np.max(symbol))
+    floor = ROUNDOFF_FACTOR * np.finfo(float).eps
+    sym_max = float(np.max(symbol))
     # The arrays an evaluation, its solve and its update make stay bound here
     # until the next replaces them: on steady-128, freeing them early let
     # glibc trim the heap between updates and re-fault it in every CG.
-    fnorm_prev = p = C = pbar = R = prec = delta = None
+    p = C = pbar = R = prec = delta = None
 
     def residual(x):
         nonlocal p, C, pbar, R
         p, C = pointwise(x)
         pbar = p.mean(axis=(-2, -1), keepdims=True)
         R = cc_inv(symbol * cc_fwd(x) + k_hat) + (p - pbar)
-        return float(np.max(np.abs(R))), max(tol, floor * float(np.max(np.abs(x))))
+        ax = np.abs(x)
+        roundoff = (sym_max * float(np.max(ax))
+                    + float(np.max(np.sum(np.abs(C) * ax, axis=1))))
+        return (float(np.max(np.abs(R))), max(tol, floor * roundoff),
+                float(np.linalg.norm(R)))
 
-    def solve(x):
-        nonlocal fnorm_prev, prec
-        fnorm = float(np.linalg.norm(R))
-        eta = ETA_MAX if fnorm_prev is None else min(
-            ETA_MAX, max(EW_GAMMA * (fnorm / fnorm_prev) ** 2, 0.5 * tol / fnorm))
-        fnorm_prev = fnorm
+    def solve(x, eta):
+        nonlocal prec
         cbar = [max(float(C[i, i].mean()), 1e-12) for i in range(len(x))]
         prec = 1.0 / (symbol + np.array(cbar)[:, None, None])
         prec[:, 0, 0] = 0.0
@@ -272,8 +268,9 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol, max_newton,
             x[i] += means[i] - x[i].mean()
         return x
 
-    x, it, met_tol = gridops.newton_krylov(
-        np.array(x, dtype=float), residual, solve, update, max_newton, label, loose_tol)
+    x0 = np.array([_feasible_start(xi, m, box, label)
+                   for xi, m, box in zip(x, means, boxes)])
+    x, it, met_tol = gridops.newton_krylov(x0, residual, solve, update, label, loose_tol)
     return x, it, pbar.ravel(), met_tol
 
 
@@ -294,25 +291,26 @@ def _fixed_terms(prev: State, params: ModelParams
             gridops.gradient(ScalarField(grid, np.stack((phi_prev, psi_prev)))))
 
 
-def _feasible_start(x_prev: np.ndarray, target: float, box: tuple[float, float],
+def _feasible_start(x: np.ndarray, target: float, box: tuple[float, float],
                     label: str) -> np.ndarray:
-    """x_prev shifted to the mean target when that lies strictly inside box.
+    """x shifted to the mean target when that lies strictly inside box.
 
-    Otherwise target + s (x_prev - mean(x_prev)) with the largest s <= 1
-    that keeps a margin from either bound: 1e-3 of the box width, or half
-    the target's distance to the nearer bound if that is less.  The
-    solution lies inside, the potential being singular at the bounds.  A
-    target outside the open box raises StepTooLarge naming the solve.
+    Otherwise target + s (x - mean(x)) with the largest s <= 1 that keeps a
+    margin from either bound: 1e-3 of the box width, or half the target's
+    distance to the nearer bound if that is less.  The solution lies
+    inside, the potential being singular at the bounds.  A target outside
+    the open box raises StepTooLarge naming the solve.  bounded_newton
+    places each field of every start, cold or warm, this way.
     """
     lo, hi = box
-    x0 = x_prev + (target - x_prev.mean())
+    x0 = x + (target - x.mean())
     if x0.min() > lo and x0.max() < hi:
         return x0
     if not lo < target < hi:
         raise StepTooLarge(f"{label}: no start inside ({lo:g}, {hi:g}) "
                            f"with mean {target:.6g}")
     margin = min(1e-3 * (hi - lo), 0.5 * (target - lo), 0.5 * (hi - target))
-    dev = x_prev - x_prev.mean()
+    dev = x - x.mean()
     s = 1.0
     if dev.max() > 0.0:
         s = min(s, (hi - margin - target) / dev.max())
@@ -327,9 +325,9 @@ def ch_subsystem_solve(
     targets: tuple[float, float],
     h: float,
     params: ModelParams,
+    fixed: tuple[np.ndarray, np.ndarray, VectorField],
     start: tuple[ScalarField, ScalarField] | None = None,
     loose_tol: float = 0.0,
-    fixed: tuple[np.ndarray, np.ndarray, VectorField] | None = None,
 ) -> tuple[ScalarField, ScalarField, ChemicalPotentials, int, int, bool]:
     """Solve the two order-parameter pairs with the velocity frozen.
 
@@ -349,14 +347,12 @@ def ch_subsystem_solve(
     NEWTON_TOL (with its round-off floor).  The means of phi, psi equal the
     targets exactly, each mu_hat is zero-mean and each mu is mu_hat plus
     the mean of its pointwise term at the solution, as bounded_newton
-    returns it.  The Newton solves start from prev shifted to the targets
-    (`_feasible_start`), or from start = (phi, psi), which must lie
-    strictly inside the bounds with the target means (a previous return
-    value does).  fixed is `_fixed_terms(prev, params)`, formed here unless
-    the caller passes the one it keeps for the step.
+    returns it.  The Newton solves start from start = (phi, psi), or else
+    from prev, as bounded_newton places them.  fixed is
+    `_fixed_terms(prev, params)`, which the caller keeps for the step.
     """
     grid = prev.phi.grid
-    symbol, g_psi, grad_prev = _fixed_terms(prev, params) if fixed is None else fixed
+    symbol, g_psi, grad_prev = fixed
     phi_prev, psi_prev = prev.phi.data, prev.psi.data
     th, w = params.theta_c, params.w
     transport = u.x * grad_prev.x + u.y * grad_prev.y   # u . grad of (phi, psi)_prev
@@ -373,18 +369,15 @@ def ch_subsystem_solve(
 
     def solve_pair(i, x_prev, source, m, pointwise, box, target, x0, label):
         k_hat = grid.inv_lam * cc_fwd(source - x_prev / h) / m
-        if x0 is None:
-            x0 = _feasible_start(x_prev, target, box, label)
         (x,), iters, (pbar,), met_tol = bounded_newton(
             x0[None], pointwise, symbol[i:i + 1] + grid.inv_lam / (m * h), k_hat,
-            [box], [target], NEWTON_TOL, gridops.MAX_NEWTON, label=label,
-            loose_tol=loose_tol)
+            [box], [target], NEWTON_TOL, label=label, loose_tol=loose_tol)
         mu_hat = -cc_inv(grid.inv_lam * cc_fwd(x) / (m * h) + k_hat)
         return x, mu_hat, iters, pbar, met_tol
 
     a, b = targets
     reac = params.sigma1 * (gridops.mean(prev.phi) - params.c)
-    phi0, psi0 = (None, None) if start is None else (start[0].data, start[1].data)
+    phi0, psi0 = (phi_prev, psi_prev) if start is None else (start[0].data, start[1].data)
     psi, mu_psi_hat, it_psi, c_psi, met_psi = solve_pair(
         1, psi_prev, transport[1], params.m_psi_const, psi_kernel,
         (0.0, 1.0), b, psi0, "psi Newton")
@@ -466,9 +459,8 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
                                    loose_tol=loose_tol)
 
         phi_new, psi_new, potentials, it_phi, it_psi, met_tol = ch_subsystem_solve(
-            prev, u, targets, h, params,
-            start=None if phi is None else (phi, psi), loose_tol=loose_tol,
-            fixed=fixed)
+            prev, u, targets, h, params, fixed,
+            start=None if phi is None else (phi, psi), loose_tol=loose_tol)
         newton_phi = max(newton_phi, it_phi)
         newton_psi = max(newton_psi, it_psi)
 

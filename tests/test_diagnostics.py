@@ -151,6 +151,20 @@ def test_stationary_residual_with_zero_velocity(grid):
     assert diag.equilibrium_residual(state, pots, params) <= 1e-10
 
 
+@pytest.mark.parametrize("phi_mass", [0.3, -0.5])
+def test_stationary_seed_far_from_its_mass_starts_inside(grid, phi_mass):
+    # The stripe's max |phi| is 0.9: shifted to either mass it leaves (-1, 1),
+    # so bounded_newton scales its deviation to start strictly inside.
+    X, _ = grid.cell_centers()
+    phi = 0.9 * np.tanh((X - 0.5) / 0.08)
+    seed = (ScalarField(grid, phi - phi.mean()), ScalarField.constant(grid, 0.5))
+    sol = diag.stationary_solve(phi_mass, 0.5, seed, ModelParams(w=1.0, theta_c=2.0))
+    assert sol.phi_inf.data.mean() == pytest.approx(phi_mass, abs=1e-14)
+    assert sol.psi_inf.data.mean() == pytest.approx(0.5, abs=1e-14)
+    assert np.max(np.abs(sol.phi_inf.data)) < 1.0
+    assert 0.0 < np.min(sol.psi_inf.data) and np.max(sol.psi_inf.data) < 1.0
+
+
 def test_stationary_rejects_infeasible_masses(grid):
     seed = (ScalarField.constant(grid, 0.0), ScalarField.constant(grid, 0.5))
     with pytest.raises(ValidationError):

@@ -699,17 +699,21 @@ def _drop_snapshots(tmp_path, grid):
     return f"preset = snapshot\nphi_path = {paths[0]}\npsi_path = {paths[1]}"
 
 
-@pytest.mark.parametrize("case", ["stripe-128", "drop-64"])
+@pytest.mark.parametrize("case", ["stripe-128", "drop-64", "stiff-stripe-32"])
 def test_unit_domain_solves_stop_at_their_round_off_floor(tmp_path, case):
     # On the unit square the Laplacian's top eigenvalue puts the residual's
     # round-off above step.NEWTON_TOL = 1e-11: without the floor these inputs
     # die with NewtonDivergence, the stripe at step 0 and the drop at step 6.
+    # At theta_c = 8 the coupling presses phi to about 1e-8 from -1, where
+    # one ulp of phi moves F' by about 1e-8: without the pointwise part of
+    # the floor that stripe's phi solve reaches its cap at step 0.
     # run() still enforces the slack, bound and mass checks on every step.
-    nx, steps = (128, 3) if case == "stripe-128" else (64, 8)
-    initial = ("preset = stripe\namplitude = 0.9\nwidth = 0.08" if case == "stripe-128"
+    nx, steps = {"stripe-128": (128, 3), "drop-64": (64, 8), "stiff-stripe-32": (32, 5)}[case]
+    initial = ("preset = stripe\namplitude = 0.9\nwidth = 0.08" if case != "drop-64"
                else _drop_snapshots(tmp_path, Grid2D(nx, nx, 1.0, 1.0)))
+    model = "[model]\ntheta_c = 8.0\n" if case == "stiff-stripe-32" else UNIT_MODEL
     text = (f"[grid]\nnx = {nx}\nny = {nx}\n\n[time]\nh = 1e-3\n"
-            f"t_end = {steps * 1e-3}\noutput_every = {steps}\n{UNIT_MODEL}\n"
+            f"t_end = {steps * 1e-3}\noutput_every = {steps}\n{model}\n"
             f"[initial]\n{initial}\n\n[output]\ndirectory = {tmp_path / 'out'}\n")
     cfg = driver.load_config(_write(tmp_path / "u.cfg", text))
     assert driver.run(cfg) == 0

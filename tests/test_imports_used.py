@@ -15,7 +15,9 @@ benchmark uses it, or if it states a result of the paper
 dataclass must be read as an attribute by some chdf module or by the
 tracer, or its class must be passed by name to `dataclasses.fields` in the
 package (as `LedgerRow` and `ModelParams` are); a field that is only set
-is unused.
+is unused.  No top-level name is defined in two chdf modules: since names
+are matched across modules, a constant left behind in one module after it
+moved to another would otherwise pass as used.
 
 Methods and fields are matched by name, so one that shares its name with
 an attribute the package reads on another type is not seen.  `copy`, which
@@ -130,6 +132,31 @@ def test_detector_finds_an_unused_method():
                "b": "from .a import C\n"}
     assert unused_definitions(sources, set()) == ["a.C.area", "a.C.write"]
     assert unused_definitions(sources, {("a.C", "write")}) == ["a.C.area"]
+
+
+def duplicate_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level names that more than one module of sources defines, as
+    "name: module, module"."""
+    where = {}
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            for shown, _, _ in _defined(node):
+                if "." not in shown:
+                    where.setdefault(shown, set()).add(mod)
+    return [f"{name}: {', '.join(sorted(mods))}" for name, mods in where.items()
+            if len(mods) > 1]
+
+
+def test_detector_finds_a_duplicate_definition():
+    sources = {"a": "X = 1\n\ndef f():\n    pass\n\nclass C:\n    def g(self):\n        pass\n",
+               "b": "from .a import f\nX = 2\n\ndef g():\n    pass\n",
+               "c": "Y = Y = 3\n\nclass C:\n    pass\n"}
+    assert duplicate_definitions(sources) == ["X: a, b", "C: a, c"]
+
+
+def test_no_name_is_defined_in_two_modules():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert duplicate_definitions(sources) == []
 
 
 def _dataclass_fields(node) -> list[tuple[str, str]]:

@@ -296,7 +296,8 @@ def test_picard_iterations_start_from_the_previous_iterate(monkeypatch):
 
     # The warm-started step agrees with a cold solve on its own velocity.
     targets = mean_targets(state.phi, state.psi, h, params)
-    phi, psi, _, _, _, _ = ch_subsystem_solve(state, nxt.u, targets, h, params)
+    phi, psi, _, _, _, _ = ch_subsystem_solve(state, nxt.u, targets, h, params,
+                                              step._fixed_terms(state, params))
     assert np.max(np.abs(phi.data - nxt.phi.data)) <= 1e-10
     assert np.max(np.abs(psi.data - nxt.psi.data)) <= 1e-10
 
@@ -459,7 +460,8 @@ def test_constitutive_kernels_run_once_per_residual_evaluation(grid, monkeypatch
     params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
     state = _band_state(grid)
     targets = mean_targets(state.phi, state.psi, 0.1, params)
-    _, _, _, it_phi, it_psi, _ = ch_subsystem_solve(state, state.u, targets, 0.1, params)
+    _, _, _, it_phi, it_psi, _ = ch_subsystem_solve(state, state.u, targets, 0.1, params,
+                                                    step._fixed_terms(state, params))
     assert it_phi > 1 and it_psi > 1
     assert calls == {"f_phi": it_phi, "f_psi": it_psi, "secant_g_phi_dfirst": it_phi}
 
@@ -515,7 +517,7 @@ def _solve_with_newton_cap(label, grid, monkeypatch):
         krylov = diagnostics._krylov_solve
 
         def run(cap):
-            monkeypatch.setattr(diagnostics, "STATIONARY_MAX_NEWTON", cap)
+            monkeypatch.setattr(gridops, "MAX_NEWTON", cap)
             updates = []
 
             def counted(*args):
@@ -528,14 +530,15 @@ def _solve_with_newton_cap(label, grid, monkeypatch):
     else:
         # The other pair of the two starts from its converged field, so only
         # the labelled solve needs an update.
-        phi, psi, _, _, _, _ = ch_subsystem_solve(state, state.u, targets, 1e-3, params)
-        phi0, psi0 = (ScalarField(grid, f.data + (t - f.data.mean()))
-                      for f, t in ((state.phi, targets[0]), (state.psi, targets[1])))
-        start = (phi, psi0) if label == "psi Newton" else (phi0, psi)
+        fixed = step._fixed_terms(state, params)
+        phi, psi, _, _, _, _ = ch_subsystem_solve(state, state.u, targets, 1e-3, params,
+                                                  fixed)
+        start = (phi, state.psi) if label == "psi Newton" else (state.phi, psi)
 
         def run(cap):
             monkeypatch.setattr(gridops, "MAX_NEWTON", cap)
-            out = ch_subsystem_solve(state, state.u, targets, 1e-3, params, start=start)
+            out = ch_subsystem_solve(state, state.u, targets, 1e-3, params, fixed,
+                                     start=start)
             return out[4 if label == "psi Newton" else 3] - 1
     return run
 
@@ -597,14 +600,19 @@ def test_inner_solves_follow_the_forcing_rule(grid, monkeypatch):
     # Every CG call of a transport-active step and of a stationary solve
     # asks for a relative residual: the first of each solve 0.01 (the cap
     # ETA_MAX), later ones at most 0.01 and never below 0.5 tol / |b| unless
-    # the cap binds (a warm-started solve may start at |b| < 50 tol).
+    # the cap binds (a warm-started solve may start at |b| < 50 tol).  The
+    # velocity's bound is VELOCITY_TOL (1 + max|f|), at least VELOCITY_TOL.
     solves = []
-    newton, pcg = step.bounded_newton, step.pcg
+    newton, velocity, pcg = step.bounded_newton, step.velocity_solve, step.pcg
 
     def marked(x, pointwise, symbol, k_hat, boxes, means, tol, *args, **kwargs):
         solves.append((tol, []))
         return newton(x, pointwise, symbol, k_hat, boxes, means, tol,
                       *args, **kwargs)
+
+    def marked_velocity(*args, **kwargs):
+        solves.append((darcy.VELOCITY_TOL, []))
+        return velocity(*args, **kwargs)
 
     def spied(matvec, precond, b, rtol):
         solves[-1][1].append((rtol, float(np.linalg.norm(b))))
@@ -612,7 +620,9 @@ def test_inner_solves_follow_the_forcing_rule(grid, monkeypatch):
 
     monkeypatch.setattr(step, "bounded_newton", marked)
     monkeypatch.setattr(diagnostics, "bounded_newton", marked)
+    monkeypatch.setattr(step, "velocity_solve", marked_velocity)
     monkeypatch.setattr(step, "pcg", spied)
+    monkeypatch.setattr(darcy, "pcg", spied)
     params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
     coupled_time_step(_band_state(grid), 0.1, params)
     X, Y = grid.cell_centers()
@@ -620,6 +630,8 @@ def test_inner_solves_follow_the_forcing_rule(grid, monkeypatch):
     diagnostics.stationary_solve(0.1, 0.5, (ScalarField(grid, 0.1 + pert),
                                             ScalarField(grid, 0.5 - pert)), params)
     assert sum(len(calls) for _, calls in solves) > len(solves) > 2
+    velocity_calls = [calls for tol, calls in solves if tol == darcy.VELOCITY_TOL]
+    assert any(len(calls) > 1 for calls in velocity_calls)
     for tol, calls in solves:
         if calls:
             assert calls[0][0] == 0.01
