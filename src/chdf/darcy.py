@@ -112,11 +112,3 @@ def velocity_solve(
     pi -= pi.mean()
     return u, ScalarField(grid, pi), VelocitySolveReport(it, met_tol)
 
-
-def dissipation_integrands(u: VectorField, params: ModelParams) -> tuple[float, float]:
-    """Quadratic and superlinear drag dissipation integrals of u."""
-    grid = u.grid
-    mag2 = u.x ** 2 + u.y ** 2
-    d2 = float(np.sum(params.nu_const * mag2)) * grid.cell_area
-    dr = float(np.sum(params.eta_const * mag2 ** (params.r / 2.0))) * grid.cell_area
-    return d2, dr

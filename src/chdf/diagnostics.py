@@ -15,7 +15,6 @@ import numpy as np
 
 from . import grid as gridops
 from . import model as mdl
-from .darcy import dissipation_integrands
 from .errors import ChdfError, ValidationError
 from .grid import Grid2D, ScalarField, resample
 from .model import ModelParams
@@ -80,14 +79,16 @@ def build_ledger_row(prev: State, state: State, potentials: ChemicalPotentials,
     kinetic = mdl.kinetic_energy(u, params)
     energy_free = mdl.free_energy(state.phi, state.psi, params)
     energy_total = kinetic + energy_free
-    d2, dr = dissipation_integrands(u, params)
+    mag2 = u.x ** 2 + u.y ** 2
+    mag_r = mag2 ** (params.r / 2.0)
+    d2 = float(np.sum(params.nu_const * mag2)) * grid.cell_area
+    dr = float(np.sum(params.eta_const * mag_r)) * grid.cell_area
     grad_mu_phi_sq = gridops.grad_norm_sq(potentials.mu_phi)
     grad_mu_psi_sq = gridops.grad_norm_sq(potentials.mu_psi)
     diss = (d2 + dr + params.m_phi_const * grad_mu_phi_sq
             + params.m_psi_const * grad_mu_psi_sq)
     reaction = (gridops.mean(prev.phi) - params.c) * float(
         np.sum(params.sigma1 * potentials.mu_phi.data)) * grid.cell_area
-    mag2 = u.x ** 2 + u.y ** 2
     row = LedgerRow(
         time=state.time,
         energy_total=energy_total,
@@ -106,7 +107,7 @@ def build_ledger_row(prev: State, state: State, potentials: ChemicalPotentials,
         min_psi=float(np.min(state.psi.data)),
         max_psi=float(np.max(state.psi.data)),
         u_l2=math.sqrt(float(np.sum(mag2)) * grid.cell_area),
-        u_lr=(float(np.sum(mag2 ** (params.r / 2.0))) * grid.cell_area) ** (1.0 / params.r),
+        u_lr=(float(np.sum(mag_r)) * grid.cell_area) ** (1.0 / params.r),
     )
     row.validate()
     return row
@@ -135,10 +136,10 @@ def classify_good_times(ledger, M: float, T: float) -> set:
 
 
 def separation_margin(phi: ScalarField, psi: ScalarField) -> tuple[float, float]:
-    """Distances of the fields from their singular endpoints."""
-    delta_phi = 1.0 - float(np.max(np.abs(phi.data)))
-    delta_psi = 0.5 - float(np.max(np.abs(psi.data - 0.5)))
-    return delta_phi, delta_psi
+    """Distances of the fields from their singular endpoints, the bounds of
+    `model.BOXES`."""
+    return tuple(min(float(np.min(f.data)) - lo, hi - float(np.max(f.data)))
+                 for f, (lo, hi) in zip((phi, psi), mdl.BOXES))
 
 
 def mass_closed_form(t: float, params: ModelParams, phi_bar_0: float) -> float:
@@ -184,10 +185,10 @@ def stationary_solve(
     which is the direct solve; if it fails from a prolonged start, it is
     solved again that way.
     """
-    if not -1.0 < phi_mass < 1.0:
-        raise ValidationError("phi_mass must lie in the open interval (-1, 1)")
-    if not 0.0 < psi_mass < 1.0:
-        raise ValidationError("psi_mass must lie in the open interval (0, 1)")
+    means = (phi_mass, psi_mass)
+    for name, mass, (lo, hi) in zip(("phi_mass", "psi_mass"), means, mdl.BOXES):
+        if not lo < mass < hi:
+            raise ValidationError(f"{name} must lie in the open interval ({lo:g}, {hi:g})")
     phi_seed, psi_seed = seed
     grid = phi_seed.grid
 
@@ -202,7 +203,6 @@ def stationary_solve(
         C = np.array([[fpp + g_pp, g_pq], [g_pq, fqq]])
         return p, C
 
-    boxes, means = [(-1.0, 1.0), (0.0, 1.0)], [phi_mass, psi_mass]
     x0 = np.stack([phi_seed.data, psi_seed.data])
     levels = [grid]
     while min(levels[-1].nx, levels[-1].ny) >= 16:
@@ -217,7 +217,7 @@ def stationary_solve(
         # one call here is one Newton update for anything that wraps that name.
         x, _, mu, _ = bounded_newton(
             resample(start, level.ny, level.nx), pointwise,
-            mdl.quadratic_symbol(level, params), 0.0, boxes, means,
+            mdl.quadratic_symbol(level, params), 0.0, mdl.BOXES, means,
             STATIONARY_TOL, krylov=_krylov_solve, label="stationary solve")
         return x, mu
 

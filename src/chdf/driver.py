@@ -31,6 +31,9 @@ _STRIPE_CLIP = 1e-3
 # Relative floor of a step's energy slack: `run` and `check` fail a step
 # whose slack falls below -ENERGY_TOL (1 + |energy before the step|).
 ENERGY_TOL = 1e-9
+# Largest miss of a step's phase or surfactant mean from its target that
+# `run` and `check` accept.
+MEAN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +138,10 @@ def load_config(path: str) -> RunConfig:
         raise ValidationError("output_every must be >= 1")
     if cfg.preset not in PRESETS:
         raise ValidationError(f"unknown preset {cfg.preset!r}")
-    if not -1.0 < cfg.mean_phi < 1.0:
-        raise ValidationError("mean_phi must lie in the open interval (-1, 1)")
-    if not 0.0 < cfg.mean_psi < 1.0:
-        raise ValidationError("mean_psi must lie in the open interval (0, 1)")
+    means = (cfg.mean_phi, cfg.mean_psi)
+    for name, m, (lo, hi) in zip(("mean_phi", "mean_psi"), means, mdl.BOXES):
+        if not lo < m < hi:
+            raise ValidationError(f"{name} must lie in the open interval ({lo:g}, {hi:g})")
     if not 0.0 <= cfg.noise_amplitude <= 0.05:
         raise ValidationError("noise_amplitude must lie in [0, 0.05]")
     if cfg.width <= 0:
@@ -147,12 +150,12 @@ def load_config(path: str) -> RunConfig:
         raise ValidationError("seed must be >= 0")
     # The noise reaches +-noise_amplitude about each mean at some cell.
     noise = cfg.noise_amplitude
-    if cfg.preset == "random_spinodal" and not (
-            abs(cfg.mean_phi) + noise < 1.0 and noise < cfg.mean_psi < 1.0 - noise):
+    if cfg.preset == "random_spinodal" and not all(
+            m - noise > lo and m + noise < hi for m, (lo, hi) in zip(means, mdl.BOXES)):
         raise ValidationError(
             f"random_spinodal: mean_phi = {cfg.mean_phi:g} and mean_psi = "
             f"{cfg.mean_psi:g} must lie noise_amplitude = {noise:g} inside "
-            f"(-1, 1) and (0, 1)")
+            + " and ".join(f"({lo:g}, {hi:g})" for lo, hi in mdl.BOXES))
     return cfg
 
 
@@ -281,9 +284,9 @@ def initial_condition(cfg: RunConfig, grid: Grid2D) -> State:
     elif cfg.preset == "snapshot":
         phi_field, time, phi_name = read_snapshot(cfg.phi_path)
         psi_field, _, psi_name = read_snapshot(cfg.psi_path)
-        for path, f, name, role, lo, hi in (
-                (cfg.phi_path, phi_field, phi_name, "phi", -1.0, 1.0),
-                (cfg.psi_path, psi_field, psi_name, "psi", 0.0, 1.0)):
+        for path, f, name, role, (lo, hi) in (
+                (cfg.phi_path, phi_field, phi_name, "phi", mdl.BOXES[0]),
+                (cfg.psi_path, psi_field, psi_name, "psi", mdl.BOXES[1])):
             if name != role:
                 raise SnapshotFormatError(
                     f"{path}: header names field {name!r}, but it is read as {role!r}")
@@ -343,6 +346,25 @@ def read_ledger(path: str) -> list[diag.LedgerRow]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _step_violations(row: diag.LedgerRow, energy_before: float, phi_target: float,
+                     psi_mean: float) -> list[str]:
+    """The laws the step of ledger row `row` breaks, one message each: the
+    energy inequality (slack >= -ENERGY_TOL (1 + |energy before the step|)),
+    the open boxes `model.BOXES`, and the means phi_target and psi_mean, each
+    to MEAN_TOL.  `run` and `check` judge every step by it."""
+    violations = []
+    if row.slack < -ENERGY_TOL * (1.0 + abs(energy_before)):
+        violations.append("energy inequality slack below tolerance")
+    for name, (lo, hi) in zip(("phi", "psi"), mdl.BOXES):
+        if not (lo < getattr(row, f"min_{name}") and getattr(row, f"max_{name}") < hi):
+            violations.append(f"{name} bounds violated")
+    if abs(row.mean_psi - psi_mean) > MEAN_TOL:
+        violations.append("psi mass drifted from its conserved value")
+    if abs(row.mean_phi - phi_target) > MEAN_TOL:
+        violations.append("phi mass missed its prescribed target")
+    return violations
+
+
 def run(cfg: RunConfig) -> int:
     """Advance the coupled system to t_end, writing ledger rows and snapshots.
 
@@ -359,7 +381,6 @@ def run(cfg: RunConfig) -> int:
     writer = LedgerWriter(os.path.join(cfg.output_dir, cfg.series))
 
     energy = mdl.total_energy(state, params)
-    slack_floor = -ENERGY_TOL * (1.0 + abs(energy))
     psi_mean_0 = gridops.mean(state.psi)
     # Time still to go, in units of h.  A step halved k times advances
     # 2**-k of its request, and the next steps make that up, so `left` stays
@@ -380,18 +401,8 @@ def run(cfg: RunConfig) -> int:
             row = diag.build_ledger_row(prev, state, potentials, report.h_used,
                                         params, energy)
             writer.write(row)
+            violations = _step_violations(row, energy, report.mass_target_a, psi_mean_0)
             energy = row.energy_total
-            violations = []
-            if row.slack < slack_floor:
-                violations.append("energy inequality slack below tolerance")
-            if not (-1.0 < row.min_phi and row.max_phi < 1.0):
-                violations.append("phi bounds violated")
-            if not (0.0 < row.min_psi and row.max_psi < 1.0):
-                violations.append("psi bounds violated")
-            if abs(row.mean_psi - psi_mean_0) > 1e-10:
-                violations.append("psi mass drifted from its conserved value")
-            if abs(row.mean_phi - report.mass_target_a) > 1e-10:
-                violations.append("phi mass missed its prescribed target")
             if violations:
                 raise BoundViolation(f"step {k}: " + "; ".join(violations))
             k += 1
@@ -457,11 +468,9 @@ def _check_one_step(grid: Grid2D, params: ModelParams, h: float) -> tuple[bool, 
     e0 = mdl.total_energy(state, params)
     nxt, potentials, report = coupled_time_step(state, h, params)
     row = diag.build_ledger_row(state, nxt, potentials, report.h_used, params, e0)
-    ok = (row.slack >= -ENERGY_TOL * (1.0 + abs(e0))
-          and abs(row.mean_psi - 0.5) <= 1e-12
-          and abs(row.mean_phi - report.mass_target_a) <= 1e-12)
-    return ok, (f"one-step slack {row.slack:.3e}, "
-                f"psi mean error {abs(row.mean_psi - 0.5):.3e}")
+    violations = _step_violations(row, e0, report.mass_target_a, 0.5)
+    detail = f"one-step slack {row.slack:.3e}, psi mean error {abs(row.mean_psi - 0.5):.3e}"
+    return not violations, "; ".join([detail, *violations])
 
 
 def check(cfg: RunConfig) -> int:

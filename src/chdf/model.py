@@ -16,6 +16,10 @@ import numpy as np
 from .errors import OutOfDomain, ValidationError
 from .grid import Grid2D, ScalarField, cc_fwd
 
+# The open boxes (lo, hi) of the order parameters (phi, psi), outside which
+# their log potentials are not defined.
+BOXES = ((-1.0, 1.0), (0.0, 1.0))
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -52,7 +56,8 @@ class ModelParams:
         require(self.beta > 0, "beta must be > 0")
         require(self.sigma1 >= 0, "sigma1 must be >= 0")
         require(self.sigma2 >= 0, "sigma2 must be >= 0")
-        require(-1.0 < self.c < 1.0, "c must lie in the open interval (-1, 1)")
+        lo, hi = BOXES[0]
+        require(lo < self.c < hi, f"c must lie in the open interval ({lo:g}, {hi:g})")
         require(self.r > 2, "r must be > 2")
         require(self.theta_phi > 0, "theta_phi must be > 0")
         require(self.theta_psi > 0, "theta_psi must be > 0")

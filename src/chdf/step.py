@@ -2,8 +2,10 @@
 
 Structure of the discrete equations: the surfactant pair (psi, mu_psi_hat)
 closes on its own because its coupling secant freezes phi at the old step;
-the phase pair (phi, mu_phi_hat) then sees the new psi.  Each pair, like
-the stationary problem in `diagnostics`, is one nonlinear equation for the
+the phase pair (phi, mu_phi_hat) then sees the new psi.  A step carries
+(phi, psi), each in its box of `model.BOXES`, and (mu_phi_hat, mu_psi_hat)
+as (2, ny, nx) stacks.  Each pair, like the stationary problem in
+`diagnostics`, is one nonlinear equation for the
 zero-mean part of the unknown: a cosine-diagonal operator on it, a
 coefficient constant fixed for the solve, and a pointwise constitutive
 term whose mean, the Lagrange multiplier of the mean constraint, is the
@@ -24,7 +26,7 @@ iterate, which already solves the same equations with the same mean
 targets up to the Picard change, and are inexact: iteration k may stop
 each of them at tau_k = max(its full tolerance, PICARD_FORCING Delta_k-1),
 Delta_k-1 the previous iteration's Picard change (max|G(x) - x| below and,
-once there are two iterates, the max change of phi and psi), though only
+once there are two iterates, the max change of (phi, psi)), though only
 after at least one update when its start misses the full tolerance.  An
 iterate is accepted once Delta_k <= PICARD_TOL and each of the three
 solves of that iteration met its full tolerance (NEWTON_TOL with its
@@ -38,9 +40,9 @@ mixing of depth ANDERSON_DEPTH (`_anderson_mix`) of G and f = G(x) - x over
 the last differences of both: the plain update G(x) when the Gram system is
 singular, its solution not finite, or the fit explains little of f.  What
 no Picard iteration changes is formed once per attempt (`_fixed_terms`):
-the energy symbol, the psi secant and the gradients of phi_prev and
-psi_prev; the force takes both gradients of x in one stacked transform
-sequence (`grid.gradient` of the stack).
+the energy symbol, the psi secant, the stack x_prev = (phi_prev, psi_prev)
+and its gradients; the force takes both gradients of x in one stacked
+transform sequence (`grid.gradient` of the stack).
 """
 
 from __future__ import annotations
@@ -70,11 +72,10 @@ class State:
     time: float = 0.0
 
     def validate(self) -> None:
-        # Written so that a NaN fails them.
-        if not np.max(np.abs(self.phi.data)) < 1.0:
-            raise BoundViolation("phi leaves (-1, 1)")
-        if not (np.min(self.psi.data) > 0.0 and np.max(self.psi.data) < 1.0):
-            raise BoundViolation("psi leaves (0, 1)")
+        for name, f, (lo, hi) in zip(("phi", "psi"), (self.phi, self.psi), mdl.BOXES):
+            # Written so that a NaN fails it.
+            if not (np.min(f.data) > lo and np.max(f.data) < hi):
+                raise BoundViolation(f"{name} leaves ({lo:g}, {hi:g})")
 
 
 @dataclass
@@ -185,7 +186,7 @@ def _krylov_solve(matvec, precond, rhs: np.ndarray, rtol: float) -> np.ndarray:
 
 
 def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol,
-                   krylov=_krylov_solve, label="Newton", loose_tol=0.0):
+                   krylov=_krylov_solve, *, label, loose_tol=0.0):
     """Projected Newton-Krylov for k stacked fields with box bounds and fixed means.
 
     x has shape (k, ny, nx); each field x[i] starts where
@@ -279,16 +280,17 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol,
 # ---------------------------------------------------------------------------
 
 def _fixed_terms(prev: State, params: ModelParams
-                 ) -> tuple[np.ndarray, np.ndarray, VectorField]:
+                 ) -> tuple[np.ndarray, np.ndarray, VectorField, np.ndarray]:
     """What every Picard iteration of a step from prev shares: the energy
     symbol L (`model.quadratic_symbol`), the psi coupling secant (G is
-    linear in psi, so it does not depend on the new psi) and the gradients
-    of the stack (phi_prev, psi_prev) that the transport terms take."""
+    linear in psi, so it does not depend on the new psi), the gradients of
+    the stack x_prev = (phi_prev, psi_prev) that the transport terms take,
+    and x_prev itself."""
     grid = prev.phi.grid
-    phi_prev, psi_prev = prev.phi.data, prev.psi.data
+    x_prev = np.stack((prev.phi.data, prev.psi.data))
     return (mdl.quadratic_symbol(grid, params),
-            mdl.secant_g_psi(phi_prev, psi_prev, psi_prev, params.theta_c, params.w),
-            gridops.gradient(ScalarField(grid, np.stack((phi_prev, psi_prev)))))
+            mdl.secant_g_psi(x_prev[0], x_prev[1], x_prev[1], params.theta_c, params.w),
+            gridops.gradient(ScalarField(grid, x_prev)), x_prev)
 
 
 def _feasible_start(x: np.ndarray, target: float, box: tuple[float, float],
@@ -325,73 +327,61 @@ def ch_subsystem_solve(
     targets: tuple[float, float],
     h: float,
     params: ModelParams,
-    fixed: tuple[np.ndarray, np.ndarray, VectorField],
-    start: tuple[ScalarField, ScalarField] | None = None,
+    fixed: tuple[np.ndarray, np.ndarray, VectorField, np.ndarray],
+    start: np.ndarray | None = None,
     loose_tol: float = 0.0,
-) -> tuple[ScalarField, ScalarField, ChemicalPotentials, int, int, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int], bool]:
     """Solve the two order-parameter pairs with the velocity frozen.
 
-    Pair i, x = psi or phi with mobility m, has the zero-mean potential
-    mu_hat of the discrete flux law (x - x_prev)/h + source = -m A_N mu_hat,
-    A_N = -Laplacian, so in cosine coefficients -mu_hat = inv_lam x/(m h) +
-    k_hat with k_hat fixed for the solve.  The pointwise law mu = L[i] x +
-    p(x), L the energy operator (`model.quadratic_symbol`), leaves for
-    bounded_newton the residual cc_inv(symbol cc_fwd(x) + k_hat) + P0 p(x)
-    with symbol = L[i] + inv_lam/(m h).  The psi pair goes first: its
-    coupling secant freezes phi at the old step, while the phi pair's
+    Pair i, x[i] = phi or psi with mobility m, has the zero-mean potential
+    mu_hat[i] of the discrete flux law (x[i] - x_prev[i])/h + source =
+    -m A_N mu_hat[i], A_N = -Laplacian, so in cosine coefficients
+    -mu_hat[i] = inv_lam x[i]/(m h) + k_hat with k_hat fixed for the solve.
+    The pointwise law mu = L[i] x[i] + p(x[i]), L the energy operator
+    (`model.quadratic_symbol`), leaves for bounded_newton the residual
+    cc_inv(symbol cc_fwd(x[i]) + k_hat) + P0 p(x[i]) with symbol = L[i] +
+    inv_lam/(m h), in the box `model.BOXES[i]`.  The psi pair goes first:
+    its coupling secant freezes phi at the old step, while the phi pair's
     secant takes the new psi.
 
     Each Newton solve runs to NEWTON_TOL, or to loose_tol after one
-    update (`bounded_newton`).  Returns (phi, psi, potentials, phi Newton
-    count, psi Newton count, met), met saying whether both solves met
-    NEWTON_TOL (with its round-off floor).  The means of phi, psi equal the
-    targets exactly, each mu_hat is zero-mean and each mu is mu_hat plus
-    the mean of its pointwise term at the solution, as bounded_newton
-    returns it.  The Newton solves start from start = (phi, psi), or else
-    from prev, as bounded_newton places them.  fixed is
+    update (`bounded_newton`).  Returns (x, mu_hat, mu_bar, (phi Newton
+    count, psi Newton count), met): the (phi, psi) stack, its means the
+    targets exactly, the zero-mean (mu_phi_hat, mu_psi_hat) stack, the
+    means of the pointwise terms at x as bounded_newton returns them (mu =
+    mu_hat + mu_bar), and whether both solves met NEWTON_TOL (with its
+    round-off floor).  The solves start from the (phi, psi) stack start, or
+    else from x_prev, as bounded_newton places them.  fixed is
     `_fixed_terms(prev, params)`, which the caller keeps for the step.
     """
     grid = prev.phi.grid
-    symbol, g_psi, grad_prev = fixed
-    phi_prev, psi_prev = prev.phi.data, prev.psi.data
+    symbol, g_psi, grad_prev, x_prev = fixed
     th, w = params.theta_c, params.w
-    transport = u.x * grad_prev.x + u.y * grad_prev.y   # u . grad of (phi, psi)_prev
+    # u . grad of x_prev, and the phase mean's relaxation toward c.
+    source = u.x * grad_prev.x + u.y * grad_prev.y
+    source[0] += params.sigma1 * (gridops.mean(prev.phi) - params.c)
+    x = np.array(x_prev if start is None else start)
+    mu_hat, mu_bar, iters, met = np.empty_like(x), np.empty(2), [0, 0], [False, False]
 
-    def psi_kernel(x):
-        _, d1, d2 = mdl.f_psi(x, params.theta_psi)
+    def psi_kernel(s):
+        _, d1, d2 = mdl.f_psi(s, params.theta_psi)
         return d1 + g_psi, d2[None]
 
-    def phi_kernel(x):
-        _, d1, d2 = mdl.f_phi(x, params.theta_phi)
-        # psi is the new psi: the psi pair is solved before this runs.
-        return (d1 + mdl.secant_g_phi(x, phi_prev, psi, th, w),
-                (d2 + mdl.secant_g_phi_dfirst(x, phi_prev, psi, th, w))[None])
+    def phi_kernel(s):
+        _, d1, d2 = mdl.f_phi(s, params.theta_phi)
+        # x[1] is the new psi: the psi pair is solved before this runs.
+        return (d1 + mdl.secant_g_phi(s, x_prev[0], x[1], th, w),
+                (d2 + mdl.secant_g_phi_dfirst(s, x_prev[0], x[1], th, w))[None])
 
-    def solve_pair(i, x_prev, source, m, pointwise, box, target, x0, label):
-        k_hat = grid.inv_lam * cc_fwd(source - x_prev / h) / m
-        (x,), iters, (pbar,), met_tol = bounded_newton(
-            x0[None], pointwise, symbol[i:i + 1] + grid.inv_lam / (m * h), k_hat,
-            [box], [target], NEWTON_TOL, label=label, loose_tol=loose_tol)
-        mu_hat = -cc_inv(grid.inv_lam * cc_fwd(x) / (m * h) + k_hat)
-        return x, mu_hat, iters, pbar, met_tol
-
-    a, b = targets
-    reac = params.sigma1 * (gridops.mean(prev.phi) - params.c)
-    phi0, psi0 = (phi_prev, psi_prev) if start is None else (start[0].data, start[1].data)
-    psi, mu_psi_hat, it_psi, c_psi, met_psi = solve_pair(
-        1, psi_prev, transport[1], params.m_psi_const, psi_kernel,
-        (0.0, 1.0), b, psi0, "psi Newton")
-    phi, mu_phi_hat, it_phi, c_phi, met_phi = solve_pair(
-        0, phi_prev, transport[0] + reac, params.m_phi_const, phi_kernel,
-        (-1.0, 1.0), a, phi0, "phi Newton")
-    potentials = ChemicalPotentials(
-        mu_phi=ScalarField(grid, mu_phi_hat + c_phi),
-        mu_psi=ScalarField(grid, mu_psi_hat + c_psi),
-        mu_phi_hat=ScalarField(grid, mu_phi_hat),
-        mu_psi_hat=ScalarField(grid, mu_psi_hat),
-    )
-    return (ScalarField(grid, phi), ScalarField(grid, psi), potentials, it_phi, it_psi,
-            met_phi and met_psi)
+    for i, m, kernel, label in ((1, params.m_psi_const, psi_kernel, "psi Newton"),
+                                (0, params.m_phi_const, phi_kernel, "phi Newton")):
+        k_hat = grid.inv_lam * cc_fwd(source[i] - x_prev[i] / h) / m
+        (x[i],), iters[i], (mu_bar[i],), met[i] = bounded_newton(
+            x[i][None], kernel, symbol[i:i + 1] + grid.inv_lam / (m * h), k_hat,
+            mdl.BOXES[i:i + 1], targets[i:i + 1], NEWTON_TOL, label=label,
+            loose_tol=loose_tol)
+        mu_hat[i] = -cc_inv(grid.inv_lam * cc_fwd(x[i]) / (m * h) + k_hat)
+    return x, mu_hat, mu_bar, tuple(iters), all(met)
 
 
 def _anderson_mix(g: np.ndarray, f: np.ndarray, df: list, dg: list) -> np.ndarray:
@@ -440,13 +430,13 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
     else:
         x = np.zeros((2, grid.ny, grid.nx))
 
-    # The previous Picard iterate starts the inner solves once there is one,
-    # and the last Picard change loosens their tolerances (inexact Picard).
-    # df, dg keep the last ANDERSON_DEPTH differences of f = G(x) - x and of
-    # G, the potentials the solves return.
-    phi = psi = u = change = f_prev = g_prev = None
+    # The previous Picard iterate y = (phi, psi) starts the inner solves once
+    # there is one, and the last Picard change loosens their tolerances
+    # (inexact Picard).  df, dg keep the last ANDERSON_DEPTH differences of
+    # f = G(x) - x and of G, the potentials the solves return.
+    y = u = change = f_prev = g_prev = None
     df, dg = [], []
-    newton_phi = newton_psi = 0
+    newton = (0, 0)
     for picard_it in range(1, MAX_PICARD + 1):
         loose_tol = 0.0 if change is None else PICARD_FORCING * change
         gm = gridops.gradient(ScalarField(grid, x))
@@ -458,20 +448,14 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
         u, _, vel = velocity_solve(prev.u, force, h, params, start=u,
                                    loose_tol=loose_tol)
 
-        phi_new, psi_new, potentials, it_phi, it_psi, met_tol = ch_subsystem_solve(
-            prev, u, targets, h, params, fixed,
-            start=None if phi is None else (phi, psi), loose_tol=loose_tol)
-        newton_phi = max(newton_phi, it_phi)
-        newton_psi = max(newton_psi, it_psi)
-
-        g = np.stack((potentials.mu_phi_hat.data, potentials.mu_psi_hat.data))
+        y_new, g, mu_bar, iters, met_tol = ch_subsystem_solve(
+            prev, u, targets, h, params, fixed, start=y, loose_tol=loose_tol)
+        newton = tuple(map(max, newton, iters))
         f = g - x
         change = float(np.max(np.abs(f)))
-        if phi is not None:
-            change = max(change,
-                         float(np.max(np.abs(phi_new.data - phi.data))),
-                         float(np.max(np.abs(psi_new.data - psi.data))))
-        phi, psi = phi_new, psi_new
+        if y is not None:
+            change = max(change, float(np.max(np.abs(y_new - y))))
+        y = y_new
         # The change leaves out u, so it can vanish at an iterate that a
         # loose solve left unsolved: accept only one that all three solves
         # met at their full tolerances.
@@ -490,8 +474,10 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
     else:
         raise PicardStall("velocity/phase coupling did not converge")
 
-    return (State(u, phi, psi, prev.time + h), potentials,
-            StepReport(picard_it, newton_phi, newton_psi, targets[0], h))
+    mu = g + mu_bar[:, None, None]
+    potentials = ChemicalPotentials(*(ScalarField(grid, a) for a in (*mu, *g)))
+    return (State(u, ScalarField(grid, y[0]), ScalarField(grid, y[1]), prev.time + h),
+            potentials, StepReport(picard_it, *newton, targets[0], h))
 
 
 def coupled_time_step(

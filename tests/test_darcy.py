@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from chdf import grid as gridops
-from chdf.darcy import dissipation_integrands, velocity_solve
+from chdf.darcy import velocity_solve
+from chdf.diagnostics import build_ledger_row
 from chdf.errors import NewtonDivergence
 from chdf.grid import Grid2D, ScalarField, VectorField
 from chdf.model import ModelParams
+from chdf.step import ChemicalPotentials, State
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +115,14 @@ def test_drag_decay_with_inertia(grid):
 
 
 def test_dissipation_integrands_constant_speed(grid):
+    # The drag dissipation columns of the ledger row of a state moving at |u| = 5.
     u = VectorField(grid, np.full((32, 32), 3.0), np.full((32, 32), 4.0))
     params = ModelParams(nu_const=2.0, eta_const=0.5, r=3.0)
-    d2, dr = dissipation_integrands(u, params)
+    state = State(u, ScalarField.constant(grid, 0.0), ScalarField.constant(grid, 0.5))
+    zero = ScalarField.constant(grid, 0.0)
+    row = build_ledger_row(state, state, ChemicalPotentials(zero, zero, zero, zero), 1e-3,
+                           params, 0.0)
+    d2, dr = row.dissipation_d2, row.dissipation_dr
     area = grid.Lx * grid.Ly
     assert d2 == pytest.approx(2.0 * 25.0 * area, rel=1e-13)
     assert dr == pytest.approx(0.5 * 125.0 * area, rel=1e-13)

@@ -3,6 +3,7 @@
 import inspect
 import os
 from copy import deepcopy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -516,6 +517,50 @@ def test_run_abort_on_injected_violation(tmp_path, monkeypatch):
         driver.run(cfg)
 
 
+def test_run_floors_each_slack_at_the_energy_before_its_step(tmp_path, monkeypatch):
+    # On this stripe the energy falls from 6.33 to 1.62 before step 2, so
+    # step 2's slack floor is -ENERGY_TOL (1 + 1.62) = -2.6e-9: a slack of
+    # -5e-9 breaks it, though it clears -7.3e-9, the floor of the initial energy.
+    cfg = driver.load_config(_write(tmp_path / "s.cfg", f"""
+[grid]
+nx = 16
+ny = 16
+
+[time]
+h = 1e-3
+t_end = 0.003
+
+[model]
+alpha = 1.0
+r = 3.0
+w = 1.0
+theta_c = 2.0
+sigma2 = 0.1
+
+[initial]
+preset = stripe
+amplitude = 0.9
+width = 0.08
+mean_psi = 0.5
+
+[output]
+directory = {tmp_path / 'out'}
+"""))
+    build, energies = driver.diag.build_ledger_row, []
+
+    def slackened(*args):
+        energies.append(args[-1])
+        row = build(*args)
+        return replace(row, slack=-5e-9) if len(energies) == 3 else row
+
+    monkeypatch.setattr(driver.diag, "build_ledger_row", slackened)
+    with pytest.raises(BoundViolation,
+                       match="^step 2: energy inequality slack below tolerance$"):
+        driver.run(cfg)
+    tol = driver.ENERGY_TOL
+    assert -tol * (1.0 + abs(energies[0])) < -5e-9 < -tol * (1.0 + abs(energies[2]))
+
+
 def test_run_reuses_each_step_energy_unless_hooked(tmp_path, monkeypatch):
     # A row's energy_total is the next row's energy_before, so a run
     # evaluates the total energy once, perturbed or not.  The perturbation
@@ -805,6 +850,19 @@ def test_cli_check_steps_with_the_configured_h(tmp_path, capsys):
     assert cli.main(["check", cfg_path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and all(line.startswith("PASS  ") for line in lines)
+
+
+@pytest.mark.parametrize("field, value, law", [("max_psi", 1.0, "psi bounds violated"),
+                                                ("min_phi", -1.0, "phi bounds violated")])
+def test_cli_check_judges_its_step_by_the_laws_of_run(tmp_path, capsys, monkeypatch,
+                                                       field, value, law):
+    # A row on a bound of its box fails the one-step suite, as it fails `run`.
+    build = driver.diag.build_ledger_row
+    monkeypatch.setattr(driver.diag, "build_ledger_row",
+                        lambda *args: replace(build(*args), **{field: value}))
+    assert cli.main(["check", _write(tmp_path / "c.cfg", MINIMAL)]) == 1
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.startswith("FAIL  one-step") and line.endswith(f"; {law}")
 
 
 def test_cli_check_prints_each_suite_before_one_raises(tmp_path, capsys):

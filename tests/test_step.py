@@ -296,10 +296,10 @@ def test_picard_iterations_start_from_the_previous_iterate(monkeypatch):
 
     # The warm-started step agrees with a cold solve on its own velocity.
     targets = mean_targets(state.phi, state.psi, h, params)
-    phi, psi, _, _, _, _ = ch_subsystem_solve(state, nxt.u, targets, h, params,
-                                              step._fixed_terms(state, params))
-    assert np.max(np.abs(phi.data - nxt.phi.data)) <= 1e-10
-    assert np.max(np.abs(psi.data - nxt.psi.data)) <= 1e-10
+    (phi, psi), _, _, _, _ = ch_subsystem_solve(state, nxt.u, targets, h, params,
+                                                step._fixed_terms(state, params))
+    assert np.max(np.abs(phi - nxt.phi.data)) <= 1e-10
+    assert np.max(np.abs(psi - nxt.psi.data)) <= 1e-10
 
 
 # The model of the coarsen-64 and steady-128 benchmarks.
@@ -460,8 +460,8 @@ def test_constitutive_kernels_run_once_per_residual_evaluation(grid, monkeypatch
     params = ModelParams(alpha=0.0, r=3.0, w=1.0, theta_c=3.0, sigma2=0.1)
     state = _band_state(grid)
     targets = mean_targets(state.phi, state.psi, 0.1, params)
-    _, _, _, it_phi, it_psi, _ = ch_subsystem_solve(state, state.u, targets, 0.1, params,
-                                                    step._fixed_terms(state, params))
+    _, _, _, (it_phi, it_psi), _ = ch_subsystem_solve(
+        state, state.u, targets, 0.1, params, step._fixed_terms(state, params))
     assert it_phi > 1 and it_psi > 1
     assert calls == {"f_phi": it_phi, "f_psi": it_psi, "secant_g_phi_dfirst": it_phi}
 
@@ -531,15 +531,16 @@ def _solve_with_newton_cap(label, grid, monkeypatch):
         # The other pair of the two starts from its converged field, so only
         # the labelled solve needs an update.
         fixed = step._fixed_terms(state, params)
-        phi, psi, _, _, _, _ = ch_subsystem_solve(state, state.u, targets, 1e-3, params,
-                                                  fixed)
-        start = (phi, state.psi) if label == "psi Newton" else (state.phi, psi)
+        (phi, psi), _, _, _, _ = ch_subsystem_solve(state, state.u, targets, 1e-3,
+                                                    params, fixed)
+        start = np.stack((phi, state.psi.data) if label == "psi Newton"
+                         else (state.phi.data, psi))
 
         def run(cap):
             monkeypatch.setattr(gridops, "MAX_NEWTON", cap)
             out = ch_subsystem_solve(state, state.u, targets, 1e-3, params, fixed,
                                      start=start)
-            return out[4 if label == "psi Newton" else 3] - 1
+            return out[3][1 if label == "psi Newton" else 0] - 1
     return run
 
 
