@@ -6,9 +6,7 @@ import argparse
 import os
 import sys
 
-import scipy.fft
-
-from . import driver
+from . import driver, grid
 from .errors import (ChdfError, ParseError, SnapshotFormatError,
                      UnknownPreset, ValidationError)
 
@@ -47,25 +45,27 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     # The transform worker count holds for this command only.
-    with scipy.fft.set_workers(workers or os.cpu_count()):
-        try:
-            cfg = driver.load_config(args.config)
-            if args.output_dir is not None:
-                cfg.output_dir = args.output_dir
-            if args.command == "run":
-                return driver.run(cfg)
-            if args.command == "check":
-                return driver.check(cfg)
-            return driver.steady(cfg)
-        except (ValidationError, ParseError, UnknownPreset) as exc:
-            print(f"chdf: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        except (OSError, SnapshotFormatError) as exc:
-            print(f"chdf: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ChdfError as exc:
-            print(f"chdf: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
+    saved, grid.workers = grid.workers, workers or os.cpu_count()
+    try:
+        cfg = driver.load_config(args.config)
+        if args.output_dir is not None:
+            cfg.output_dir = args.output_dir
+        if args.command == "run":
+            return driver.run(cfg)
+        if args.command == "check":
+            return driver.check(cfg)
+        return driver.steady(cfg)
+    except (ValidationError, ParseError, UnknownPreset) as exc:
+        print(f"chdf: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (OSError, SnapshotFormatError) as exc:
+        print(f"chdf: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ChdfError as exc:
+        print(f"chdf: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    finally:
+        grid.workers = saved
 
 
 if __name__ == "__main__":

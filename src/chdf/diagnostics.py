@@ -215,7 +215,7 @@ def stationary_solve(
     def solve(level, start):
         # The linear solve goes through this module's _krylov_solve so that
         # one call here is one Newton update for anything that wraps that name.
-        x, _, mu, _ = bounded_newton(
+        x, _, mu, _, _ = bounded_newton(
             resample(start, level.ny, level.nx), pointwise,
             mdl.quadratic_symbol(level, params), 0.0, mdl.BOXES, means,
             STATIONARY_TOL, krylov=_krylov_solve, label="stationary solve")

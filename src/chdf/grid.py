@@ -12,13 +12,54 @@ Cell centers sit at ((i + 1/2) hx, (j + 1/2) hy).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
 from .errors import MeanNotZero, NewtonDivergence
+
+
+def _load_pocketfft(directory: str):
+    """scipy's compiled pocketfft module, loaded by file from directory.
+
+    Importing scipy.fft would also load numpy.f2py, numpy.testing and
+    scipy.special, which take most of the package's import time; the six
+    transforms need only this module.  Its PyInit_ symbol fixes the name
+    pypocketfft.  A missing or unloadable file raises ImportError naming
+    directory.
+    """
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no pypocketfft extension in {directory}")
+    loader = importlib.machinery.ExtensionFileLoader("pypocketfft", path)
+    try:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader("pypocketfft", loader))
+        loader.exec_module(module)
+    except (ImportError, OSError) as exc:
+        raise ImportError(f"cannot load pypocketfft from {directory}: {exc}") from exc
+    return module
+
+
+# find_spec locates scipy without importing it.
+_scipy = importlib.util.find_spec("scipy")
+if _scipy is None:
+    raise ImportError("chdf needs scipy, whose compiled pocketfft it calls")
+_pocketfft = _load_pocketfft(
+    os.path.join(_scipy.submodule_search_locations[0], "fft", "_pocketfft"))
+_dct, _dst = _pocketfft.dct, _pocketfft.dst
+
+# Threads of each transform call: scipy's default of 1 for library callers;
+# `cli.main` sets CHDF_THREADS for one command and restores this value.
+workers = 1
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -132,9 +173,11 @@ class VectorField:
 
 # ---------------------------------------------------------------------------
 # 2-D transforms on raw arrays (axis -1 = x, axis -2 = y); leading axes, as
-# in a stack of fields, are transformed independently.  Each is scipy's
-# type-II transform (inverse: type III) in its default unnormalised scaling,
-# one pass over x and then one over y (the other order rounds differently).
+# in a stack of fields, are transformed independently.  Each is the type-II
+# transform (inverse: type III) in its unnormalised scaling, one pass over x
+# and then one over y (the other order rounds differently): scipy.fft's
+# dct/dst, which call pocketfft's dct/dst(x, type, axes, inorm, None,
+# workers) with inorm 0 forward and 2 inverse, called here directly.
 # Layout: "cc" holds cos(k pi x/Lx) cos(l pi y/Ly) at [l, k]; "sc" holds
 # x-sine mode k at index k-1, "cs" y-sine mode l at index l-1.  Along an axis
 # of n cells, cosine mode k and sine mode k-1 (1 <= k < n) carry n times the
@@ -142,34 +185,39 @@ class VectorField:
 # derivative maps below act on coefficients as they would on amplitudes.
 # With nx and ny powers of two these factors are powers of two, which scale
 # a float exactly: every operator gives the bits it would give on amplitude
-# coefficients.  The cc pair also takes norm="ortho", scipy's orthonormal
-# scaling: that pair is an isometry, so a Krylov solve on the coefficients
-# of a correction (step.bounded_newton) measures its residual norms and
-# tolerance exactly as it would on the field.
+# coefficients.  The cc pair also takes norm="ortho", the orthonormal
+# scaling (inorm 1 both ways): that pair is an isometry, so a Krylov solve
+# on the coefficients of a correction (step.bounded_newton) measures its
+# residual norms and tolerance exactly as it would on the field.
 # ---------------------------------------------------------------------------
 
+_XY, _X, _Y = (-1, -2), (-1,), (-2,)
+_FWD_NORM = {None: 0, "ortho": 1}
+_INV_NORM = {None: 2, "ortho": 1}
+
+
 def cc_fwd(f: np.ndarray, norm: str | None = None) -> np.ndarray:
-    return dctn(f, 2, axes=(-1, -2), norm=norm)
+    return _dct(f, 2, _XY, _FWD_NORM[norm], None, workers)
 
 
 def cc_inv(c: np.ndarray, norm: str | None = None) -> np.ndarray:
-    return idctn(c, 2, axes=(-1, -2), norm=norm)
+    return _dct(c, 3, _XY, _INV_NORM[norm], None, workers)
 
 
 def sc_fwd(f: np.ndarray) -> np.ndarray:
-    return dct(dst(f, 2, axis=-1), 2, axis=-2)
+    return _dct(_dst(f, 2, _X, 0, None, workers), 2, _Y, 0, None, workers)
 
 
 def sc_inv(c: np.ndarray) -> np.ndarray:
-    return idct(idst(c, 2, axis=-1), 2, axis=-2)
+    return _dct(_dst(c, 3, _X, 2, None, workers), 3, _Y, 2, None, workers)
 
 
 def cs_fwd(f: np.ndarray) -> np.ndarray:
-    return dst(dct(f, 2, axis=-1), 2, axis=-2)
+    return _dst(_dct(f, 2, _X, 0, None, workers), 2, _Y, 0, None, workers)
 
 
 def cs_inv(c: np.ndarray) -> np.ndarray:
-    return idst(idct(c, 2, axis=-1), 2, axis=-2)
+    return _dst(_dct(c, 3, _X, 2, None, workers), 3, _Y, 2, None, workers)
 
 
 def resample(f: np.ndarray, ny: int, nx: int) -> np.ndarray:

@@ -217,20 +217,22 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol,
     the zero-mean correction projected onto box intersected with fixed mean
     (`_damped_update`), after which the mean is re-imposed against
     round-off.  Returns (x, residual evaluations, the mean of each field of
-    p at x, whether max|F(x)| met the bound).
+    p at x, whether max|F(x)| met the bound, cc_fwd(x)): the last residual
+    evaluation is at x, so its cosine coefficients come back with it.
     """
     floor = ROUNDOFF_FACTOR * np.finfo(float).eps
     sym_max = float(np.max(symbol))
     # The arrays an evaluation, its solve and its update make stay bound here
     # until the next replaces them: on steady-128, freeing them early let
     # glibc trim the heap between updates and re-fault it in every CG.
-    p = C = pbar = R = prec = delta = None
+    p = C = pbar = cx = R = prec = delta = None
 
     def residual(x):
-        nonlocal p, C, pbar, R
+        nonlocal p, C, pbar, cx, R
         p, C = pointwise(x)
         pbar = p.mean(axis=(-2, -1), keepdims=True)
-        R = cc_inv(symbol * cc_fwd(x) + k_hat) + (p - pbar)
+        cx = cc_fwd(x)
+        R = cc_inv(symbol * cx + k_hat) + (p - pbar)
         ax = np.abs(x)
         roundoff = (sym_max * float(np.max(ax))
                     + float(np.max(np.sum(np.abs(C) * ax, axis=1))))
@@ -272,7 +274,7 @@ def bounded_newton(x, pointwise, symbol, k_hat, boxes, means, tol,
     x0 = np.array([_feasible_start(xi, m, box, label)
                    for xi, m, box in zip(x, means, boxes)])
     x, it, met_tol = gridops.newton_krylov(x0, residual, solve, update, label, loose_tol)
-    return x, it, pbar.ravel(), met_tol
+    return x, it, pbar.ravel(), met_tol, cx
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +378,11 @@ def ch_subsystem_solve(
     for i, m, kernel, label in ((1, params.m_psi_const, psi_kernel, "psi Newton"),
                                 (0, params.m_phi_const, phi_kernel, "phi Newton")):
         k_hat = grid.inv_lam * cc_fwd(source[i] - x_prev[i] / h) / m
-        (x[i],), iters[i], (mu_bar[i],), met[i] = bounded_newton(
+        (x[i],), iters[i], (mu_bar[i],), met[i], (cx,) = bounded_newton(
             x[i][None], kernel, symbol[i:i + 1] + grid.inv_lam / (m * h), k_hat,
             mdl.BOXES[i:i + 1], targets[i:i + 1], NEWTON_TOL, label=label,
             loose_tol=loose_tol)
-        mu_hat[i] = -cc_inv(grid.inv_lam * cc_fwd(x[i]) / (m * h) + k_hat)
+        mu_hat[i] = -cc_inv(grid.inv_lam * cx / (m * h) + k_hat)
     return x, mu_hat, mu_bar, tuple(iters), all(met)
 
 

@@ -130,3 +130,14 @@ def test_import_leaves_scipy_sparse_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "False"
+
+
+def test_import_leaves_scipy_fft_out():
+    # grid loads scipy's compiled pocketfft by file: scipy.fft would bring
+    # scipy.special and numpy.f2py, most of the package's import time.
+    code = ("import sys, chdf, chdf.cli; print([m for m in ('scipy.fft', "
+            "'scipy.special', 'numpy.f2py') if m in sys.modules])")
+    src = str(Path(chdf.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"

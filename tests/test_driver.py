@@ -7,9 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.fft
 
-from chdf import cli, driver, errors, step
+from chdf import cli, driver, errors, grid as gridops, step
 from chdf import model as mdl
 from chdf.errors import (BoundViolation, ParseError, PicardStall,
                          SnapshotFormatError, StepTooLarge, UnknownPreset,
@@ -902,12 +901,12 @@ def test_cli_run_starts_from_steady_output_at_time_zero(tmp_path):
 
 
 def _workers_in_command(monkeypatch, cfg_path, threads, fail=False):
-    """scipy.fft's worker count inside `chdf check` under CHDF_THREADS (None
+    """grid's transform worker count inside `chdf check` under CHDF_THREADS (None
     if the command never ran), the exit status, and the count after."""
     seen = []
 
     def spy(cfg):
-        seen.append(scipy.fft.get_workers())
+        seen.append(gridops.workers)
         if fail:
             raise OSError("spy: write failed")
         return 0
@@ -915,17 +914,18 @@ def _workers_in_command(monkeypatch, cfg_path, threads, fail=False):
     monkeypatch.setattr(driver, "check", spy)
     monkeypatch.setenv("CHDF_THREADS", threads)
     rc = cli.main(["check", cfg_path])
-    return seen[0] if seen else None, rc, scipy.fft.get_workers()
+    return seen[0] if seen else None, rc, gridops.workers
 
 
 def test_cli_threads_env(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path / "c.cfg", MINIMAL)
-    before = scipy.fft.get_workers()
+    before = gridops.workers
+    assert before == 1     # scipy's default, for callers of the library
     out = tmp_path / "o"
     monkeypatch.setenv("CHDF_THREADS", "1")
     assert cli.main(["run", cfg_path, "--output-dir", str(out)]) == 0
     # The setting holds for the call only, an IO-error exit included.
-    assert scipy.fft.get_workers() == before
+    assert gridops.workers == before
     assert _workers_in_command(monkeypatch, cfg_path, "1") == (1, 0, before)
     assert (_workers_in_command(monkeypatch, cfg_path, "2", fail=True)
             == (2, cli.EXIT_IO, before))
@@ -938,7 +938,7 @@ def test_cli_threads_env(tmp_path, monkeypatch):
 
 def test_cli_threads_zero_means_every_core(tmp_path, monkeypatch):
     cfg_path = _write(tmp_path / "c.cfg", MINIMAL)
-    before = scipy.fft.get_workers()
+    before = gridops.workers
     assert _workers_in_command(monkeypatch, cfg_path, "2") == (2, 0, before)
     assert (_workers_in_command(monkeypatch, cfg_path, "0")
             == (os.cpu_count(), 0, before))

@@ -1,5 +1,7 @@
 """Spectral grid, transforms, and discrete calculus operators."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,36 @@ def test_transforms_act_on_stacks_fieldwise(grid):
         out = transform(stack)
         for i in range(2):
             assert np.array_equal(out[i], transform(stack[i])), transform.__name__
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (128, 128), (256, 256), (2, 64, 64),
+                                   (2, 128, 128), (16, 256), (2, 256, 16)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_transforms_equal_scipy_fft_bit_for_bit(shape):
+    # grid calls scipy's private pocketfft module with the arguments that
+    # scipy.fft passes it; a scipy whose module takes other arguments, or
+    # computes otherwise, fails here instead of changing results silently.
+    from scipy.fft import dct, dctn, dst, idct, idctn, idst
+
+    f = np.random.default_rng(11).standard_normal(shape)
+    for norm in (None, "ortho"):
+        assert np.array_equal(cc_fwd(f, norm=norm), dctn(f, 2, axes=(-1, -2), norm=norm))
+        assert np.array_equal(cc_inv(f, norm=norm), idctn(f, 2, axes=(-1, -2), norm=norm))
+    for ours, theirs in (
+            (sc_fwd, dct(dst(f, 2, axis=-1), 2, axis=-2)),
+            (sc_inv, idct(idst(f, 2, axis=-1), 2, axis=-2)),
+            (cs_fwd, dst(dct(f, 2, axis=-1), 2, axis=-2)),
+            (cs_inv, idst(idct(f, 2, axis=-1), 2, axis=-2))):
+        assert np.array_equal(ours(f), theirs), ours.__name__
+
+
+def test_missing_pocketfft_names_the_directory_searched(tmp_path):
+    # An empty directory, then one whose extension file does not load.
+    with pytest.raises(ImportError, match=re.escape(f"in {tmp_path}")):
+        gridops._load_pocketfft(str(tmp_path))
+    (tmp_path / "pypocketfft.so").write_bytes(b"not a shared object")
+    with pytest.raises(ImportError, match=re.escape(f"from {tmp_path}:")):
+        gridops._load_pocketfft(str(tmp_path))
 
 
 def _cosine_modes(grid, modes, seed):

@@ -897,9 +897,9 @@ def test_a_singular_gram_system_takes_the_plain_update(singular, monkeypatch):
 
 def test_fixed_gradients_are_taken_once_and_the_force_costs_five_transforms(
         monkeypatch):
-    # Counted at the scipy transforms grid calls: a gradient of the stack
-    # (mu_phi_hat, mu_psi_hat) is one 2-D cosine transform, then one sine
-    # and one cosine pass per component.
+    # Counted at grid's calls of pocketfft's dct and dst: a gradient of the
+    # stack (mu_phi_hat, mu_psi_hat) is one 2-D cosine transform, then one
+    # sine and one cosine pass per component.
     transforms = [0]
 
     def counted(fn):
@@ -908,7 +908,7 @@ def test_fixed_gradients_are_taken_once_and_the_force_costs_five_transforms(
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("dctn", "idctn", "dct", "idct", "dst", "idst"):
+    for name in ("_dct", "_dst"):
         monkeypatch.setattr(gridops, name, counted(getattr(gridops, name)))
     inputs, costs = [], []
     gradient = gridops.gradient
