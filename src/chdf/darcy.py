@@ -48,10 +48,11 @@ def velocity_solve(
     [m*, 2 m*] for the pointwise root m* of c1 m + eta m^(r-1) = g.  Its
     bound is max|R| <= VELOCITY_TOL (1 + max|f|) for the projected residual
     R, loose_tol is scaled by the same 1 + max|f|, and report.met_tol says
-    whether the bound held.  Each correction, added to u whole, is CG
-    (`grid.pcg`), to the relative tolerance the loop sets, on the exact
-    drag Jacobian (c1 + k) I + (r-2) k e e^T (e = u/|u|) under P, SPD on
-    solenoidal fields, with the scalar preconditioner 1/(c1 + mean k).  pi
+    whether the bound held.  Each correction, added to u.data whole, is CG
+    (`grid.pcg`) on (2, ny, nx) arrays, to the relative tolerance the loop
+    sets, on the exact drag Jacobian (c1 + k) I + (r-2) k e e^T (e = u/|u|)
+    under P, SPD on solenoidal fields, with the scalar preconditioner
+    1/(c1 + mean k); c1 + k is formed once per residual evaluation.  pi
     is minus the potential part of the final residual, so u has zero normal
     trace and round-off divergence, and pi has zero mean.
     """
@@ -62,51 +63,46 @@ def velocity_solve(
     r = params.r
     inertia = params.alpha / h
     c1 = inertia + params.nu_const
-    fx = force.x + inertia * u_prev.x
-    fy = force.y + inertia * u_prev.y
-    scale = 1.0 + float(np.max(np.hypot(fx, fy)))
+    f = force.data + inertia * u_prev.data
+    scale = 1.0 + float(np.max(np.hypot(*f)))
 
     if start is not None:
         u = start
     else:
-        pf = gridops.project_velocity(VectorField(grid, fx, fy))
-        gmag = np.hypot(pf.x, pf.y)
+        pf = gridops.project_velocity(VectorField(grid, f)).data
+        gmag = np.hypot(*pf)
         # Each term of c1 m + eta m^(r-1) = g is at most g at its root m*,
         # and the left side is convex and zero at 0: m* <= m <= 2 m*.
         m = np.minimum(gmag / c1, (gmag / eta) ** (1.0 / (r - 1)))
         s = m / np.where(gmag > 0, gmag, 1.0)
-        u = gridops.project_velocity(VectorField(grid, s * pf.x, s * pf.y))
+        u = gridops.project_velocity(VectorField(grid, s * pf))
 
-    R = p_hat = mag = k = None
+    R = p_hat = mag = k = drag = None
 
     def residual(u):
-        nonlocal R, p_hat, mag, k
-        mag = np.hypot(u.x, u.y)
+        nonlocal R, p_hat, mag, k, drag
+        mag = np.hypot(*u.data)
         k = eta * mag ** (r - 2)
-        Rv, p_hat = gridops.solenoidal_part(
-            VectorField(grid, (c1 + k) * u.x - fx, (c1 + k) * u.y - fy))
-        R = np.stack((Rv.x, Rv.y))
-        return (float(np.max(np.hypot(Rv.x, Rv.y))), VELOCITY_TOL * scale,
+        drag = c1 + k
+        Rv, p_hat = gridops.solenoidal_part(VectorField(grid, drag * u.data - f))
+        R = Rv.data
+        return (float(np.max(np.hypot(*R))), VELOCITY_TOL * scale,
                 float(np.linalg.norm(R)))
 
     def solve(u, rtol):
-        inv = 1.0 / np.where(mag > 0, mag, 1.0)
-        ex, ey = u.x * inv, u.y * inv
+        e = u.data * (1.0 / np.where(mag > 0, mag, 1.0))
         radial = (r - 2) * k
 
         def matvec(v):
-            vx, vy = v
-            t = radial * (ex * vx + ey * vy)
-            jv = gridops.project_velocity(
-                VectorField(grid, (c1 + k) * vx + t * ex, (c1 + k) * vy + t * ey))
-            return np.stack((jv.x, jv.y))
+            return gridops.project_velocity(
+                VectorField(grid, drag * v + radial * (e * v).sum(0) * e)).data
 
         # Scalar preconditioner: the mean isotropic drag coefficient.
         cbar = c1 + float(np.mean(k))
         return pcg(matvec, lambda v: v / cbar, -R, rtol)
 
     u, it, met_tol = gridops.newton_krylov(
-        u, residual, solve, lambda u, d: VectorField(grid, u.x + d[0], u.y + d[1]),
+        u, residual, solve, lambda u, d: VectorField(grid, u.data + d),
         "velocity solve", loose_tol * scale)
     pi = -gridops.cc_inv(p_hat)
     pi -= pi.mean()

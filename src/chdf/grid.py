@@ -150,25 +150,24 @@ class ScalarField:
 
 @dataclass
 class VectorField:
-    """Collocated vector samples at cell centers (x and y components), each
-    (ny, nx) or, as the gradient of a stack, (k, ny, nx)."""
+    """Collocated vector samples at cell centers: data is (2, ny, nx), the x
+    and y components, or (2, k, ny, nx) as the gradient of a (k, ny, nx)
+    stack; the properties x and y, with no setter, are data[0] and data[1]."""
 
     grid: Grid2D
-    x: np.ndarray
-    y: np.ndarray
+    data: np.ndarray
+    x = property(lambda self: self.data[0])
+    y = property(lambda self: self.data[1])
 
     def __post_init__(self):
-        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
-        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
-        shape = (self.grid.ny, self.grid.nx)
-        if (self.x.shape != self.y.shape or self.x.ndim not in (2, 3)
-                or self.x.shape[-2:] != shape):
-            raise ValueError("vector components must match the grid shape")
+        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
+        if (self.data.ndim not in (3, 4) or self.data.shape[0] != 2
+                or self.data.shape[-2:] != (self.grid.ny, self.grid.nx)):
+            raise ValueError(f"vector shape {self.data.shape} is not (2, [k,] ny, nx)")
 
     @classmethod
     def zero(cls, grid: Grid2D) -> "VectorField":
-        shape = (grid.ny, grid.nx)
-        return cls(grid, np.zeros(shape), np.zeros(shape))
+        return cls(grid, np.zeros((2, grid.ny, grid.nx)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +280,11 @@ def mean(f: ScalarField) -> float:
 
 
 def gradient(f: ScalarField) -> VectorField:
-    """Spectral gradient, collocated at cell centers; of each field of a
-    stack, bit for bit as one at a time, in one cc_fwd, sc_inv and cs_inv."""
+    """Spectral gradient, collocated at cell centers: data (2, ny, nx), or
+    (2, k, ny, nx) for a (k, ny, nx) stack, whose [:, i] is field i's own
+    gradient bit for bit; in one cc_fwd, sc_inv and cs_inv."""
     gx, gy = _grad_coeffs(f.grid, cc_fwd(f.data))
-    return VectorField(f.grid, sc_inv(gx), cs_inv(gy))
+    return VectorField(f.grid, np.stack((sc_inv(gx), cs_inv(gy))))
 
 
 def grad_norm_sq(f: ScalarField) -> float:
@@ -325,8 +325,9 @@ def hminus1_norm_sq(f: ScalarField) -> float:
 
 
 def solenoidal_part(v: VectorField) -> tuple[VectorField, np.ndarray]:
-    """Split v = u + grad p with div u = 0, u.n = 0, mean(p) = 0: u and the
-    cosine coefficients of p (cc_inv of them forms p).
+    """Split v = u + grad p with div u = 0, u.n = 0, mean(p) = 0: u, one
+    (2, ny, nx) array, and the cosine coefficients of p (cc_inv of them
+    forms p).
 
     p solves the Neumann problem (grad p, grad q) = (v, grad q) for all q.
     Four transforms.
@@ -336,7 +337,7 @@ def solenoidal_part(v: VectorField) -> tuple[VectorField, np.ndarray]:
     b = cs_fwd(v.y)
     p = -_div_coeffs(grid, a, b) * grid.inv_lam
     gx, gy = _grad_coeffs(grid, p)
-    return VectorField(grid, sc_inv(a - gx), cs_inv(b - gy)), p
+    return VectorField(grid, np.stack((sc_inv(a - gx), cs_inv(b - gy)))), p
 
 
 def project_velocity(v: VectorField) -> VectorField:

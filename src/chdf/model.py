@@ -111,11 +111,6 @@ def coupling_g(phi, psi, theta_c: float = 0.0, w: float = 0.0):
     return val, d_phi, d_psi
 
 
-def _result(out, *args):
-    """out broadcast to the arguments' shape."""
-    return out * np.ones(np.broadcast(*args).shape)
-
-
 def secant_g_phi(a, b, c_arg, theta_c: float = 0.0, w: float = 0.0):
     """Difference quotient of G in its phi slot: (G(a,c)-G(b,c))/(a-b).
 
@@ -132,16 +127,18 @@ def secant_g_phi(a, b, c_arg, theta_c: float = 0.0, w: float = 0.0):
 def secant_g_psi(c_arg, a, b, theta_c: float = 0.0, w: float = 0.0):
     """Difference quotient of G in its psi slot: (G(c,a)-G(c,b))/(a-b).
 
-    G is linear in psi, so this is dG/dpsi at c: -w (1 - c^2).
+    G is linear in psi, so this is dG/dpsi at c: -w (1 - c^2), of c_arg's
+    shape.
     """
     c_arg = np.asarray(c_arg, dtype=float)
-    return _result(-w * (1.0 - c_arg * c_arg), a, b, c_arg)
+    return -w * (1.0 - c_arg * c_arg)
 
 
 def secant_g_phi_dfirst(a, b, c_arg, theta_c: float = 0.0, w: float = 0.0):
-    """Derivative of secant_g_phi with respect to its first argument."""
+    """Derivative of secant_g_phi with respect to its first argument,
+    -theta_c/2 + w c, of c_arg's shape."""
     c_arg = np.asarray(c_arg, dtype=float)
-    return _result(-0.5 * theta_c + w * c_arg, a, b, c_arg)
+    return -0.5 * theta_c + w * c_arg
 
 
 # Not called in chdf; kept because the benchmark's tracer looks them up by name.
@@ -167,8 +164,9 @@ def _clamp(s: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def secant_g_psi_dfirst(c_arg, a, b, theta_c: float = 0.0, w: float = 0.0):
-    """Derivative of secant_g_psi in its implicit psi slot: zero."""
-    return _result(0.0, a, b, c_arg)
+    """Derivative of secant_g_psi in its implicit psi slot: zeros of
+    c_arg's shape."""
+    return np.zeros(np.shape(c_arg))
 
 
 # ---------------------------------------------------------------------------

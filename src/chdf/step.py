@@ -41,8 +41,9 @@ the last differences of both: the plain update G(x) when the Gram system is
 singular, its solution not finite, or the fit explains little of f.  What
 no Picard iteration changes is formed once per attempt (`_fixed_terms`):
 the energy symbol, the psi secant, the stack x_prev = (phi_prev, psi_prev)
-and its gradients; the force takes both gradients of x in one stacked
-transform sequence (`grid.gradient` of the stack).
+and its gradients; the force -sum_i x_prev[i] grad x[i] takes both
+gradients of x in one stacked transform sequence (`grid.gradient` of the
+stack) and sums over its field axis.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def _fixed_terms(prev: State, params: ModelParams
     symbol L (`model.quadratic_symbol`), the psi coupling secant (G is
     linear in psi, so it does not depend on the new psi), the gradients of
     the stack x_prev = (phi_prev, psi_prev) that the transport terms take,
-    and x_prev itself."""
+    and x_prev itself, which the force takes."""
     grid = prev.phi.grid
     x_prev = np.stack((prev.phi.data, prev.psi.data))
     return (mdl.quadratic_symbol(grid, params),
@@ -360,7 +361,7 @@ def ch_subsystem_solve(
     symbol, g_psi, grad_prev, x_prev = fixed
     th, w = params.theta_c, params.w
     # u . grad of x_prev, and the phase mean's relaxation toward c.
-    source = u.x * grad_prev.x + u.y * grad_prev.y
+    source = (u.data[:, None] * grad_prev.data).sum(0)
     source[0] += params.sigma1 * (gridops.mean(prev.phi) - params.c)
     x = np.array(x_prev if start is None else start)
     mu_hat, mu_bar, iters, met = np.empty_like(x), np.empty(2), [0, 0], [False, False]
@@ -425,6 +426,7 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
     grid = prev.phi.grid
     targets = mean_targets(prev.phi, prev.psi, h, params)
     fixed = _fixed_terms(prev, params)
+    _, _, _, x_prev = fixed
 
     # x = (mu_phi_hat, mu_psi_hat), the potentials the force is built from.
     if init_potentials is not None:
@@ -441,12 +443,8 @@ def _attempt_step(prev: State, h: float, params: ModelParams,
     newton = (0, 0)
     for picard_it in range(1, MAX_PICARD + 1):
         loose_tol = 0.0 if change is None else PICARD_FORCING * change
-        gm = gridops.gradient(ScalarField(grid, x))
-        force = VectorField(
-            grid,
-            -(prev.phi.data * gm.x[0] + prev.psi.data * gm.x[1]),
-            -(prev.phi.data * gm.y[0] + prev.psi.data * gm.y[1]),
-        )
+        gm = gridops.gradient(ScalarField(grid, x)).data
+        force = VectorField(grid, -(x_prev * gm).sum(1))
         u, _, vel = velocity_solve(prev.u, force, h, params, start=u,
                                    loose_tol=loose_tol)
 

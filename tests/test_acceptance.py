@@ -119,8 +119,8 @@ def test_operator_exactness():
     rng = np.random.default_rng(1)
     from chdf.grid import cc_inv, cs_inv, sc_inv
     n = 64 * 64    # modes of about unit amplitude (unnormalised inverses)
-    v = VectorField(GRID, sc_inv(n * rng.standard_normal((64, 64))),
-                    cs_inv(n * rng.standard_normal((64, 64))))
+    v = VectorField(GRID, np.stack((sc_inv(n * rng.standard_normal((64, 64))),
+                              cs_inv(n * rng.standard_normal((64, 64))))))
     w, _ = gridops.solenoidal_part(v)
     w2, _ = gridops.solenoidal_part(w)
     helm = max(float(np.max(np.abs(w2.x - w.x))), float(np.max(np.abs(w2.y - w.y))))

@@ -45,8 +45,8 @@ def test_tracer_notes_read_the_reports():
     notes = _tracing_module().NOTES
     grid = Grid2D(16, 16, 1.0, 1.0)
     X, Y = grid.cell_centers()
-    force = VectorField(grid, np.sin(np.pi * X) * np.cos(np.pi * Y),
-                        -np.cos(np.pi * X) * np.sin(np.pi * Y))
+    force = VectorField(grid, np.stack((np.sin(np.pi * X) * np.cos(np.pi * Y),
+                                  -np.cos(np.pi * X) * np.sin(np.pi * Y))))
     zero = VectorField.zero(grid)
     args = (zero, force, 1e-3, ModelParams())
     assert type(notes["darcy.solve"](args, velocity_solve(*args))) is int
@@ -106,8 +106,8 @@ def test_tracer_krylov_sees_darcy_ch_and_stationary_solves(monkeypatch):
                     monkeypatch.setattr(module, attr, counted)
     grid = Grid2D(16, 16, 1.0, 1.0)
     X, Y = grid.cell_centers()
-    force = VectorField(grid, np.sin(np.pi * X) * np.cos(np.pi * Y),
-                        -np.cos(np.pi * X) * np.sin(np.pi * Y))
+    force = VectorField(grid, np.stack((np.sin(np.pi * X) * np.cos(np.pi * Y),
+                                  -np.cos(np.pi * X) * np.sin(np.pi * Y))))
     velocity_solve(VectorField.zero(grid), force, 1e-3, ModelParams())
     assert callers and set(callers) == {"chdf.darcy"}
     pert = 0.04 * np.cos(np.pi * X) * np.cos(np.pi * Y)

@@ -36,7 +36,7 @@ def test_solenoidal_forcing_small_superlinear_drag(grid):
     X, Y = grid.cell_centers()
     ux = np.sin(np.pi * X) * np.cos(np.pi * Y)
     uy = -np.cos(np.pi * X) * np.sin(np.pi * Y)
-    force = VectorField(grid, ux, uy)
+    force = VectorField(grid, np.stack((ux, uy)))
     params = ModelParams(nu_const=2.0, eta_const=1e-8, r=3.0)
     u, _, _ = velocity_solve(VectorField.zero(grid), force, 1e-3, params)
     # With negligible superlinear drag, u is approximately force / nu.
@@ -49,8 +49,8 @@ def test_momentum_residual_reported_small(grid):
     rng = np.random.default_rng(2)
     from chdf.grid import cs_inv, sc_inv
     n = 32 * 32    # modes of about unit amplitude (unnormalised inverses)
-    force = VectorField(grid, sc_inv(n * rng.standard_normal((32, 32))),
-                        cs_inv(n * rng.standard_normal((32, 32))))
+    force = VectorField(grid, np.stack((sc_inv(n * rng.standard_normal((32, 32))),
+                                  cs_inv(n * rng.standard_normal((32, 32))))))
     params = ModelParams(alpha=1.0, r=3.0)
     h = 1e-2
     u, pi, _ = velocity_solve(VectorField.zero(grid), force, h, params)
@@ -70,12 +70,12 @@ def test_strong_drag_solves_to_round_off(grid):
     rng = np.random.default_rng(2)
     from chdf.grid import cs_inv, sc_inv
     n = 32 * 32    # modes of about unit amplitude (unnormalised inverses)
-    unit = VectorField(grid, sc_inv(n * rng.standard_normal((32, 32))),
-                       cs_inv(n * rng.standard_normal((32, 32))))
+    unit = VectorField(grid, np.stack((sc_inv(n * rng.standard_normal((32, 32))),
+                                 cs_inv(n * rng.standard_normal((32, 32))))))
     zero = VectorField.zero(grid)
     for r, eta, gain in ((4.0, 1.0, 1.0), (6.0, 1.0, 1.0), (3.0, 100.0, 1.0),
                          (2.01, 1.0, 1e3), (6.0, 1.0, 1e3), (8.0, 1e3, 1e3)):
-        force = VectorField(grid, gain * unit.x, gain * unit.y)
+        force = VectorField(grid, gain * unit.data)
         scale = 1.0 + np.max(np.hypot(force.x, force.y))
         params = ModelParams(alpha=0.0, r=r, eta_const=eta)
         cold = velocity_solve(zero, force, 0.1, params)
@@ -88,7 +88,7 @@ def test_strong_drag_solves_to_round_off(grid):
         _, _, report = velocity_solve(zero, force, 0.1, params, start=u)
         assert report.outer_iterations == 1, (r, eta, gain)
         far = velocity_solve(zero, force, 0.1, params,
-                             start=VectorField(grid, 100.0 * u.x, 100.0 * u.y))
+                             start=VectorField(grid, 100.0 * u.data))
         for case, (u, pi, _) in (("cold", cold), ("far", far)):
             drag = params.nu_const + eta * np.hypot(u.x, u.y) ** (r - 2)
             gp = gridops.gradient(pi)
@@ -103,7 +103,7 @@ def test_drag_decay_with_inertia(grid):
     X, Y = grid.cell_centers()
     ux = np.sin(np.pi * X) * np.cos(np.pi * Y)
     uy = -np.cos(np.pi * X) * np.sin(np.pi * Y)
-    u = VectorField(grid, ux, uy)
+    u = VectorField(grid, np.stack((ux, uy)))
     zero = VectorField.zero(grid)
     params = ModelParams(alpha=1.0, r=3.0)
     e_prev = float(np.sum(u.x ** 2 + u.y ** 2))
@@ -116,7 +116,7 @@ def test_drag_decay_with_inertia(grid):
 
 def test_dissipation_integrands_constant_speed(grid):
     # The drag dissipation columns of the ledger row of a state moving at |u| = 5.
-    u = VectorField(grid, np.full((32, 32), 3.0), np.full((32, 32), 4.0))
+    u = VectorField(grid, np.stack((np.full((32, 32), 3.0), np.full((32, 32), 4.0))))
     params = ModelParams(nu_const=2.0, eta_const=0.5, r=3.0)
     state = State(u, ScalarField.constant(grid, 0.0), ScalarField.constant(grid, 0.5))
     zero = ScalarField.constant(grid, 0.0)
@@ -140,8 +140,8 @@ def test_velocity_cg_at_its_cap_raises(grid, monkeypatch):
     rng = np.random.default_rng(2)
     from chdf.grid import cs_inv, sc_inv
     n = 32 * 32
-    force = VectorField(grid, sc_inv(n * rng.standard_normal((32, 32))),
-                        cs_inv(n * rng.standard_normal((32, 32))))
+    force = VectorField(grid, np.stack((sc_inv(n * rng.standard_normal((32, 32))),
+                                  cs_inv(n * rng.standard_normal((32, 32))))))
     params = ModelParams(alpha=0.0, r=6.0)
     velocity_solve(VectorField.zero(grid), force, 0.1, params)
     monkeypatch.setattr(gridops, "CG_MAXITER", 1)

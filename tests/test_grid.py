@@ -143,6 +143,26 @@ def test_gradient_of_cosine_mode(grid):
     assert np.max(np.abs(g.y)) < 1e-12
 
 
+def test_vector_field_is_one_array_and_stack_gradients_are_fieldwise(grid):
+    # The Picard force sums a stack's gradient over axis 1, the field axis.
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((3, grid.ny, grid.nx))
+    g = gridops.gradient(ScalarField(grid, stack))
+    assert g.data.shape == (2, 3, grid.ny, grid.nx)
+    for i in range(3):
+        own = gridops.gradient(ScalarField(grid, stack[i])).data
+        assert own.shape == (2, grid.ny, grid.nx)
+        assert np.array_equal(g.data[:, i], own)
+    for c, view in enumerate((g.x, g.y)):
+        assert np.shares_memory(view, g.data) and np.array_equal(view, g.data[c])
+    with pytest.raises(AttributeError):
+        g.x = g.y
+    ny, nx = grid.ny, grid.nx
+    for shape in ((3, ny, nx), (1, ny, nx), (2, nx, ny), (2, 3, ny, nx + 1), (ny, nx)):
+        with pytest.raises(ValueError):
+            VectorField(grid, np.zeros(shape))
+
+
 def test_divergence_gradient_is_laplacian(grid):
     X, Y = grid.cell_centers()
     kx = 2 * np.pi / grid.Lx
@@ -201,8 +221,8 @@ def test_adjointness_gradient_divergence(grid):
     n = grid.nx * grid.ny
     f = ScalarField(grid, cc_inv(n * rng.standard_normal((grid.ny, grid.nx))))
     v = VectorField(grid,
-                    sc_inv(n * rng.standard_normal((grid.ny, grid.nx))),
-                    cs_inv(n * rng.standard_normal((grid.ny, grid.nx))))
+                    np.stack((sc_inv(n * rng.standard_normal((grid.ny, grid.nx))),
+                              cs_inv(n * rng.standard_normal((grid.ny, grid.nx))))))
     g = gridops.gradient(f)
     lhs = np.sum(g.x * v.x + g.y * v.y)
     rhs = -np.sum(f.data * gridops.divergence(v).data)
@@ -213,8 +233,8 @@ def test_helmholtz_idempotent_and_annihilates_gradients(unit_grid):
     rng = np.random.default_rng(5)
     n = 64 * 64    # modes of about unit amplitude (unnormalised inverses)
     v = VectorField(unit_grid,
-                    sc_inv(n * rng.standard_normal((64, 64))),
-                    cs_inv(n * rng.standard_normal((64, 64))))
+                    np.stack((sc_inv(n * rng.standard_normal((64, 64))),
+                              cs_inv(n * rng.standard_normal((64, 64))))))
     w, _ = gridops.solenoidal_part(v)
     w2, q2 = gridops.solenoidal_part(w)
     assert np.max(np.abs(gridops.divergence(w).data)) < 1e-10
@@ -233,7 +253,7 @@ def test_project_velocity_preserves_solenoidal(unit_grid):
     # Stream-function field: solenoidal with zero normal trace.
     ux = np.sin(np.pi * X) * np.cos(np.pi * Y) * np.pi
     uy = -np.cos(np.pi * X) * np.sin(np.pi * Y) * np.pi
-    u = VectorField(unit_grid, ux, uy)
+    u = VectorField(unit_grid, np.stack((ux, uy)))
     pu = gridops.project_velocity(u)
     assert np.max(np.abs(pu.x - ux)) < 1e-10
     assert np.max(np.abs(pu.y - uy)) < 1e-10

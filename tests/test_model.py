@@ -193,7 +193,7 @@ def test_energy_of_homogeneous_state():
 
 def test_kinetic_energy_scaling():
     grid = Grid2D(16, 16, 1.0, 1.0)
-    u = VectorField(grid, np.full((16, 16), 2.0), np.zeros((16, 16)))
+    u = VectorField(grid, np.stack((np.full((16, 16), 2.0), np.zeros((16, 16)))))
     params = ModelParams(alpha=3.0)
     assert mdl.kinetic_energy(u, params) == pytest.approx(0.5 * 3.0 * 4.0)
     assert mdl.kinetic_energy(u, ModelParams(alpha=0.0)) == 0.0

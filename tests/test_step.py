@@ -165,7 +165,7 @@ def test_constant_fields_with_solenoidal_velocity(grid):
     ux = 0.5 * np.sin(np.pi * X) * np.cos(np.pi * Y)
     uy = -0.5 * np.cos(np.pi * X) * np.sin(np.pi * Y)
     params = ModelParams(alpha=1.0, r=3.0)
-    st = State(VectorField(grid, ux, uy), ScalarField.constant(grid, 0.1),
+    st = State(VectorField(grid, np.stack((ux, uy))), ScalarField.constant(grid, 0.1),
                ScalarField.constant(grid, 0.5))
     ke0 = mdl.kinetic_energy(st.u, params)
     out = coupled_time_step(st, 1e-2, params)
@@ -374,8 +374,7 @@ def test_inexact_picard_accepts_the_exact_iterate(monkeypatch):
     assert u is inexact[0].u
     params = BENCH_MODEL
     drag = params.nu_const + params.eta_const * np.hypot(u.x, u.y) ** (params.r - 2)
-    res = gridops.project_velocity(VectorField(u.grid, drag * u.x - force.x,
-                                               drag * u.y - force.y))
+    res = gridops.project_velocity(VectorField(u.grid, drag * u.data - force.data))
     scale = 1.0 + np.max(np.hypot(force.x, force.y))
     assert np.max(np.hypot(res.x, res.y)) <= darcy.VELOCITY_TOL * scale
 
@@ -505,8 +504,8 @@ def _solve_with_newton_cap(label, grid, monkeypatch):
     targets = mean_targets(state.phi, state.psi, 1e-3, params)
     if label == "velocity solve":
         X, Y = grid.cell_centers()
-        force = VectorField(grid, np.sin(np.pi * X) * np.cos(np.pi * Y),
-                            -np.cos(np.pi * X) * np.sin(np.pi * Y))
+        force = VectorField(grid, np.stack((np.sin(np.pi * X) * np.cos(np.pi * Y),
+                                      -np.cos(np.pi * X) * np.sin(np.pi * Y))))
 
         def run(cap):
             monkeypatch.setattr(gridops, "MAX_NEWTON", cap)
